@@ -34,7 +34,7 @@ print(f"\nradio-unit analytic check: {1 - 1 / (1 + ratio):.6e}")
 from edgeavail import build_cluster  # noqa: E402
 
 for k in (10, 9, 8):
-    model = build_cluster(table, M=10, K=k)
+    model = build_cluster(table.with_overrides(M=10, K=k))
     chain = to_ctmc(eliminate_vanishing(explore(model)), "up")
     u = unavailability(chain, steady_state_gth(chain))
     print(f"cluster (M,K)=(10,{k}): U = {u:.6e}")

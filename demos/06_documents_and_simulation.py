@@ -6,6 +6,7 @@ exact solver against independent replications of the event-driven simulator.
 Equivalent CLI: ``edgeavail solve`` / ``edgeavail simulate``.
 """
 
+import dataclasses
 import pathlib
 
 from edgeavail import (eliminate_vanishing, explore, parse_model,
@@ -31,10 +32,11 @@ reps = simulate_replicated(model, "up", horizon=1e6, replications=10, seed=2024)
 print(f"replications:  1 - point = {1 - reps.point:.6e} "
       f"+/- {reps.ci_halfwidth:.2e} ({reps.batches} replications)")
 
-# Double the software failure rate in the document text and re-solve.
-model.parameters["lambda_SW"] *= 2
-model._compiled = None
-chain2 = to_ctmc(eliminate_vanishing(explore(model)), "up")
+# Double the software failure rate in a copy of the model and re-solve.
+doubled = dataclasses.replace(
+    model, parameters={**model.parameters,
+                       "lambda_SW": 2 * model.parameters["lambda_SW"]})
+chain2 = to_ctmc(eliminate_vanishing(explore(doubled)), "up")
 worse = unavailability(chain2, steady_state_gth(chain2))
 print(f"with doubled software failure intensity: {worse:.6e} "
       f"({worse / exact:.2f}x)")

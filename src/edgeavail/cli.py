@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 input error, 2 computation error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -119,11 +120,10 @@ def _load_model(path, overrides):
         if unknown:
             raise UsageError(
                 f"--set names not declared by the model: {', '.join(unknown)}")
-        model.parameters.update(overrides)
+        model = dataclasses.replace(model, parameters={**model.parameters, **overrides})
         diags = validate(model)
         if diags:
             raise UsageError("overrides make the model invalid: " + "; ".join(diags))
-        model._compiled = None  # drop any stale compilation cache
     return model
 
 

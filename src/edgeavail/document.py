@@ -81,35 +81,21 @@ def parse_model(text: str) -> SanModel:
     body = "\n".join("" if i == header_at else line for i, line in enumerate(lines))
     cur = ex.TokenCursor(ex.tokenize(body))
 
-    def fail(expected):
-        t = cur.peek()
-        raise ParseError(
-            f"unexpected {t.kind} {t.text!r}" if t.kind != "EOF" else "unexpected end of input",
-            t.line, t.column, expected)
-
-    def expect(kind, text=None, expected=None):
-        t = cur.peek()
-        if not cur.at(kind, text):
-            raise ParseError(
-                f"unexpected {t.kind} {t.text!r}",
-                t.line, t.column, expected or {text or kind})
-        return cur.next()
-
     def parse_quoted_expr(what) -> ex.Expr:
-        t = expect("STRING", expected={f'"{what}" in double quotes'})
+        t = cur.expect("STRING", expected={f'"{what}" in double quotes'})
         try:
             return ex.parse_expression(t.text)
         except ParseError as err:
             raise ParseError(f"in {what} at line {t.line}: {err}") from None
 
     def parse_effects() -> tuple:
-        expect("{", expected={"'{'"})
+        cur.expect("{", expected={"'{'"})
         effects = []
         while not cur.at("}"):
-            name = expect("IDENT", expected={"a place name", "'}'"})
+            name = cur.expect("IDENT", expected={"a place name", "'}'"})
             op_tok = cur.peek()
             if op_tok.kind not in ("+=", "-=", "="):
-                fail({"'+='", "'-='", "'='"})
+                raise cur.fail({"'+='", "'-='", "'='"})
             cur.next()
             effects.append(Effect(name.text, op_tok.kind, ex.parse_expr(cur)))
             if cur.at(";"):
@@ -134,24 +120,24 @@ def parse_model(text: str) -> SanModel:
     while not cur.at("EOF"):
         t = cur.peek()
         if t.kind != "IDENT" or t.text not in _STATEMENT_WORDS:
-            fail({"'param'", "'place'", "'activity'", "'reward'"})
+            raise cur.fail({"'param'", "'place'", "'activity'", "'reward'"})
         word = cur.next().text
 
         if word == "param":
-            name = expect("IDENT", expected={"a parameter name"})
+            name = cur.expect("IDENT", expected={"a parameter name"})
             declare(name, "parameter")
-            expect("=", expected={"'='"})
+            cur.expect("=", expected={"'='"})
             params[name.text] = _fold(ex.parse_expr(cur), params,
                                       f"parameter '{name.text}'")
 
         elif word == "place":
-            name = expect("IDENT", expected={"a place name"})
+            name = cur.expect("IDENT", expected={"a place name"})
             declare(name, "place")
-            expect("=", expected={"'='"})
+            cur.expect("=", expected={"'='"})
             neg = cur.at("-")
             if neg:
                 cur.next()
-            count_tok = expect("NUMBER", expected={"an integer token count"})
+            count_tok = cur.expect("NUMBER", expected={"an integer token count"})
             count = float(count_tok.text) * (-1 if neg else 1)
             if count != int(count):
                 raise SemanticError(f"place '{name.text}' needs an integer "
@@ -159,19 +145,19 @@ def parse_model(text: str) -> SanModel:
             places.append(Place(name.text, int(count)))
 
         elif word == "activity":
-            kind = expect("IDENT", expected={"'timed'", "'instant'"})
+            kind = cur.expect("IDENT", expected={"'timed'", "'instant'"})
             if kind.text not in ("timed", "instant"):
                 raise ParseError(f"unknown activity kind '{kind.text}'",
                                  kind.line, kind.column,
                                  {"'timed'", "'instant'"})
-            name = expect("IDENT", expected={"an activity name"})
+            name = cur.expect("IDENT", expected={"an activity name"})
             declare(name, "activity")
             rate = None
             if kind.text == "timed":
-                expect("IDENT", "rate", expected={"'rate'"})
+                cur.expect("IDENT", "rate", expected={"'rate'"})
                 rate = parse_quoted_expr(f"rate of '{name.text}'")
-            expect("{", expected={"'{'"})
-            expect("IDENT", "input", expected={"'input'"})
+            cur.expect("{", expected={"'{'"})
+            cur.expect("IDENT", "input", expected={"'input'"})
             predicate = parse_quoted_expr(f"input predicate of '{name.text}'")
             input_effects = parse_effects()
             cases = []
@@ -180,14 +166,14 @@ def parse_model(text: str) -> SanModel:
                 prob = _fold(ex.parse_expr(cur), params,
                              f"case probability in '{name.text}'")
                 cases.append(CaseSpec(prob, parse_effects()))
-            expect("}", expected={"'case'", "'}'"})
+            cur.expect("}", expected={"'case'", "'}'"})
             activities.append(Activity(name.text, rate,
                                        InputSpec(predicate, input_effects),
                                        tuple(cases)))
 
         else:  # reward
-            name = expect("IDENT", expected={"a reward name"})
-            expect("=", expected={"'='"})
+            name = cur.expect("IDENT", expected={"a reward name"})
+            cur.expect("=", expected={"'='"})
             rewards.append(RewardPredicate(name.text,
                                            parse_quoted_expr(f"reward '{name.text}'")))
 

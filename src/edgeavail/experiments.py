@@ -4,8 +4,10 @@ Each runner returns a :class:`SweepResult` whose rows pair a configuration
 with the system unavailability obtained from the exact (GTH) pipeline.
 Element unavailabilities are solved once per distinct parameter set and
 cached, so the fault-tree algebra dominates nothing; results are bit-for-bit
-reproducible.  Rows are ordered by configuration, never by completion, and
-independent cluster solves can be spread over a process pool.
+reproducible.  The core-network and manager clusters share one model, so
+each distinct cluster table is solved once, whichever cluster uses it.
+Rows are ordered by configuration, never by completion, and independent
+cluster solves can be spread over a process pool.
 
 CSV schema (at least six significant digits)::
 
@@ -118,31 +120,21 @@ class _SystemConfig:
     alphas: tuple | None = None
 
 
-def _cluster_inputs(c: _SystemConfig):
-    return ((ElementKind.CLUSTER_5GC, c.t_5gc), (ElementKind.CLUSTER_MANO, c.t_mano))
-
-
-def _solve_element(item):
-    kind, table = item
-    return element_unavailability(kind, table)
+def _cluster_unavailability(table: IntensityTable) -> float:
+    # both cluster kinds build the same model, so one kind stands for both
+    return element_unavailability(ElementKind.CLUSTER_5GC, table)
 
 
 def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
     """System unavailability per configuration, cluster solves optionally pooled."""
-    distinct = []
-    seen = set()
-    for c in configs:
-        for item in _cluster_inputs(c):
-            if item not in seen:
-                seen.add(item)
-                distinct.append(item)
+    distinct = list(dict.fromkeys(tab for c in configs for tab in (c.t_5gc, c.t_mano)))
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(distinct)))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = dict(zip(distinct, pool.map(_solve_element, distinct)))
+            solved = dict(zip(distinct, pool.map(_cluster_unavailability, distinct)))
     else:
-        solved = {item: _solve_element(item) for item in distinct}
+        solved = {tab: _cluster_unavailability(tab) for tab in distinct}
 
     base = {
         "ru": element_unavailability(ElementKind.RU, t),
@@ -153,10 +145,7 @@ def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
     rows = []
     for c in configs:
         ran = u_ran(base["ru"], base["du"], base["cu"], c.cfg)
-        u = u_sys(ran,
-                  solved[(ElementKind.CLUSTER_5GC, c.t_5gc)],
-                  solved[(ElementKind.CLUSTER_MANO, c.t_mano)],
-                  base["meh"], c.cfg.N_H)
+        u = u_sys(ran, solved[c.t_5gc], solved[c.t_mano], base["meh"], c.cfg.N_H)
         ah, ao, a_s = c.alphas if c.alphas is not None else (
             c.t_5gc.alpha_H, c.t_5gc.alpha_O, c.t_5gc.alpha_S)
         rows.append(SweepRow(

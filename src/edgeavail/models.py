@@ -348,9 +348,7 @@ def build_meh(t: IntensityTable) -> SanModel:
                             description="Edge host: hypervisor, platform/application VMs and software"))
 
 
-def build_cluster(t: IntensityTable, M: int | None = None, K: int | None = None,
-                  alpha_H: float | None = None, alpha_O: float | None = None,
-                  alpha_S: float | None = None) -> SanModel:
+def build_cluster(t: IntensityTable) -> SanModel:
     """Control cluster of M instances, up while at least K work and no crash token.
 
     Per-instance failure intensities scale the base rates: hardware and OS use
@@ -358,25 +356,20 @@ def build_cluster(t: IntensityTable, M: int | None = None, K: int | None = None,
     M / M_w`` while at least K instances work (constant total pressure) and
     ``alpha * lambda * M`` per instance below that.  An uncovered failure in
     any layer crashes the whole cluster; crash recovery clears every failed
-    OS/software instance and recounts the working pool.
+    OS/software instance and recounts the working pool.  ``M``, ``K`` and the
+    multipliers all come from ``t``; vary them with
+    :meth:`IntensityTable.with_overrides`.
     """
-    M = t.M if M is None else int(M)
-    K = t.K if K is None else int(K)
-    alpha_H = t.alpha_H if alpha_H is None else alpha_H
-    alpha_O = t.alpha_O if alpha_O is None else alpha_O
-    alpha_S = t.alpha_S if alpha_S is None else alpha_S
-    if not 1 <= K <= M:
-        raise ValueError(f"need 1 <= K <= M, got ({M}, {K})")
-
+    M, K = t.M, t.K
     params = {"lambda_HW": t.lambda_HW, "lambda_OS": t.lambda_OS,
               "lambda_SW": t.lambda_SW,
               "mu_HW": t.mu_HW, "mu_OS": t.mu_OS, "mu_SW": t.mu_SW,
               "mu_cov": t.mu_cov, "mu_OS_r": t.mu_OS_r, "mu_SW_r": t.mu_SW_r,
-              "alpha_H": alpha_H, "alpha_O": alpha_O, "alpha_S": alpha_S,
+              "alpha_H": t.alpha_H, "alpha_O": t.alpha_O, "alpha_S": t.alpha_S,
               "M": float(M), "K": float(K),
               # per-instance intensities, folded for readability in documents
-              "lambda_Hi": alpha_H * t.lambda_HW * M / K,
-              "lambda_Oi": alpha_O * t.lambda_OS * M / K}
+              "lambda_Hi": t.alpha_H * t.lambda_HW * M / K,
+              "lambda_Oi": t.alpha_O * t.lambda_OS * M / K}
     places = (Place("Working", M), Place("HW_Fail"), Place("HW_Down"),
               Place("OS_Fail"), Place("OS_Down"), Place("SW_Fail"),
               Place("SW_Down"))
@@ -440,13 +433,14 @@ _BUILDERS = {
     ElementKind.DU: build_du,
     ElementKind.CU: build_cu,
     ElementKind.MEH: build_meh,
+    # the core-network and manager clusters share one model
+    ElementKind.CLUSTER_5GC: build_cluster,
+    ElementKind.CLUSTER_MANO: build_cluster,
 }
 
 
 def build_element(kind: ElementKind, t: IntensityTable) -> SanModel:
-    if kind in _BUILDERS:
-        return _BUILDERS[kind](t)
-    return build_cluster(t)  # both cluster kinds share one model
+    return _BUILDERS[kind](t)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import VanishingLivelock
 from .san import SanModel, compiled
@@ -124,6 +123,8 @@ def _pick_case(a, rng) -> int:
 
 
 def _t_interval(values: np.ndarray) -> tuple[float, float]:
+    from scipy import stats  # slow to import; needed only for this quantile
+
     n = len(values)
     mean = float(values.mean())
     s = float(values.std(ddof=1))

@@ -109,7 +109,11 @@ def test_alpha_sweep_single_target(table):
     assert all("targets=mano" in r.config for r in result.rows)
     assert result.rows[0].alpha_H == 0.5 and result.rows[0].alpha_O == 1.0
     # scaling only one of two identical clusters moves U less than scaling both
+    element_unavailability.cache_clear()
     both = xp.run_alpha_sweep(table, targets="both", values=(0.5, 1.0), jobs=1)
+    # 4 base elements plus one solve per distinct cluster table: the baseline
+    # and each of alpha_H, alpha_O, alpha_S at 0.5, shared by both clusters
+    assert element_unavailability.cache_info().misses == 8
     assert (result.rows[0].unavailability > both.rows[0].unavailability)
 
 

@@ -73,13 +73,13 @@ def test_du_full_software_coverage_removes_hard_repair(table):
 
 
 def test_cluster_per_instance_rate_at_unit_settings(table):
-    m = md.build_cluster(table, M=1, K=1)
+    m = md.build_cluster(table.with_overrides(M=1, K=1))
     assert m.parameters["lambda_Hi"] == pytest.approx(table.lambda_HW, abs=0)
     assert m.parameters["lambda_Oi"] == pytest.approx(table.lambda_OS, abs=0)
 
 
 def test_cluster_alpha_scales_rates(table):
-    m = md.build_cluster(table, alpha_H=2.5)
+    m = md.build_cluster(table.with_overrides(alpha_H=2.5))
     assert m.parameters["lambda_Hi"] == pytest.approx(
         2.5 * table.lambda_HW * table.M / table.K, rel=1e-15)
 
@@ -93,7 +93,7 @@ def test_cluster_spare_instance_buys_two_orders(table):
 
 def test_cluster_bad_settings_rejected(table):
     with pytest.raises(ValueError):
-        md.build_cluster(table, M=3, K=4)
+        md.build_cluster(table.with_overrides(M=3, K=4))
 
 
 def test_element_unavailability_all_kinds_in_sane_band(table):

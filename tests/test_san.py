@@ -115,7 +115,7 @@ def test_du_covered_os_recovery_lands_in_software_restart(table):
 
 
 def test_cluster_crash_token_blocks_all_failures(table):
-    cluster = md.build_cluster(table, M=3, K=2)
+    cluster = md.build_cluster(table.with_overrides(M=3, K=2))
     m = cluster.initial_marking()
     crashed = fire(cluster, m, "HW_F1", 1)      # uncovered hardware failure
     assert crashed["HW_Down"] == 1 and crashed["Working"] == 2
@@ -129,7 +129,7 @@ def test_cluster_crash_token_blocks_all_failures(table):
 
 
 def test_cluster_crash_recovery_resets_failed_software(table):
-    cluster = md.build_cluster(table, M=4, K=2)
+    cluster = md.build_cluster(table.with_overrides(M=4, K=2))
     m = cluster.initial_marking()
     m = fire(cluster, m, "OS_F1", 0)            # one OS failure, covered
     m = fire(cluster, m, "SW_F", 0)             # one software failure, covered
@@ -147,7 +147,7 @@ def test_mode_token_conservation_in_element_models(table):
     # RU/DU: exactly one mode token; CU: two tokens total; cluster: M tokens.
     for model, total in [(md.build_ru(table), 1), (md.build_du(table), 1),
                          (md.build_meh(table), 1), (md.build_cu(table), 2),
-                         (md.build_cluster(table, M=3, K=2), 3)]:
+                         (md.build_cluster(table.with_overrides(M=3, K=2)), 3)]:
         g = explore(model)
         for state in g.states:
             assert sum(state) == total, (model.description, g.place_order, state)
@@ -186,7 +186,7 @@ def test_valid_models_never_raise_on_reachable_markings(table):
     # a clean validate() means the token game is total over the reachable set
     for name, model in md.builtin_models(table).items():
         if name == "cluster":
-            model = md.build_cluster(table, M=3, K=2)
+            model = md.build_cluster(table.with_overrides(M=3, K=2))
         assert validate(model) == []
         g = explore(model)
         for i in range(g.n_states):

@@ -92,7 +92,7 @@ def _cluster_reach_oracle(M, K):
 @pytest.mark.parametrize("mk", [(3, 2), (3, 3), (4, 2)])
 def test_cluster_state_space_matches_independent_enumeration(table, mk):
     M, K = mk
-    g = explore(md.build_cluster(table, M=M, K=K))
+    g = explore(md.build_cluster(table.with_overrides(M=M, K=K)))
     oracle = _cluster_reach_oracle(M, K)
     # canonical place order is sorted: HW_Down HW_Fail OS_Down OS_Fail
     # SW_Down SW_Fail Working
@@ -101,7 +101,7 @@ def test_cluster_state_space_matches_independent_enumeration(table, mk):
 
 
 def test_cluster_down_states_only_recover(table):
-    cluster = md.build_cluster(table, M=3, K=2)
+    cluster = md.build_cluster(table.with_overrides(M=3, K=2))
     g = explore(cluster)
     order = g.place_order
     down_places = [order.index(n) for n in ("HW_Down", "OS_Down", "SW_Down")]
@@ -117,7 +117,7 @@ def test_full_coverage_removes_degraded_states(table):
                                 C_APP=1.0, C_HYP=1.0)
     g_du = explore(md.build_du(full))
     assert all(g_du.marking(i)["SW_Urep"] == 0 for i in range(g_du.n_states))
-    g_cl = explore(md.build_cluster(full, M=3, K=2))
+    g_cl = explore(md.build_cluster(full.with_overrides(M=3, K=2)))
     for i in range(g_cl.n_states):
         m = g_cl.marking(i)
         assert m["HW_Down"] == 0 and m["OS_Down"] == 0 and m["SW_Down"] == 0
