@@ -7,11 +7,11 @@ through a fault tree.  Ships five ready-made element models plus the sweep
 studies built on them.
 """
 
-from .errors import (DivisionByZero, EdgeavailError, EvaluationError,
-                     NegativeTokens, NotConverged, NotEnabled, NotIrreducible,
-                     ParseError, SemanticError, StateSpaceExceeded,
-                     UnknownIdentifier, UnknownReward, VanishingLivelock,
-                     VanishingLoop)
+from .errors import (DenseBlockTooLarge, DivisionByZero, EdgeavailError,
+                     EvaluationError, NegativeTokens, NotConverged, NotEnabled,
+                     NotIrreducible, ParseError, SemanticError,
+                     StateSpaceExceeded, UnknownIdentifier, UnknownReward,
+                     VanishingLivelock, VanishingLoop)
 from .expr import (Expr, eval_expr, identifiers, parse_expression, to_text)
 from .san import (Activity, CaseSpec, Effect, InputSpec, Marking, Place,
                   RewardPredicate, SanModel, enabled_activities, fire, put,

@@ -27,9 +27,9 @@ import sys
 from . import experiments as xp
 from . import models as md
 from .document import parse_model
-from .errors import (EdgeavailError, NotConverged, NotIrreducible, ParseError,
-                     SemanticError, StateSpaceExceeded, VanishingLivelock,
-                     VanishingLoop)
+from .errors import (DenseBlockTooLarge, EdgeavailError, NotConverged,
+                     NotIrreducible, ParseError, SemanticError,
+                     StateSpaceExceeded, VanishingLivelock, VanishingLoop)
 from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
 from .san import validate
 from .simulator import simulate
@@ -42,7 +42,7 @@ EXIT_COMPUTE = 2
 EXIT_USAGE = 64
 
 _COMPUTE_ERRORS = (NotIrreducible, NotConverged, VanishingLoop,
-                   VanishingLivelock, StateSpaceExceeded)
+                   VanishingLivelock, StateSpaceExceeded, DenseBlockTooLarge)
 
 
 class UsageError(Exception):

@@ -70,6 +70,18 @@ class NotIrreducible(EdgeavailError):
     """The tangible chain is not a single strongly connected class."""
 
 
+class DenseBlockTooLarge(EdgeavailError):
+    """Exact elimination would leave a dense block too large to allocate."""
+
+    def __init__(self, size, limit):
+        self.size = size
+        self.limit = limit
+        super().__init__(
+            f"exact GTH would need a dense block of {size} states "
+            f"({8 * size * size / 1e6:.0f} MB, limit {limit} states); "
+            "use --method iter")
+
+
 class UnknownReward(EdgeavailError):
     def __init__(self, name, known):
         self.name = name

@@ -120,21 +120,18 @@ class _SystemConfig:
     alphas: tuple | None = None
 
 
-def _cluster_unavailability(table: IntensityTable) -> float:
-    # both cluster kinds build the same model, so one kind stands for both
-    return element_unavailability(ElementKind.CLUSTER_5GC, table)
-
-
 def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
     """System unavailability per configuration, cluster solves optionally pooled."""
     distinct = list(dict.fromkeys(tab for c in configs for tab in (c.t_5gc, c.t_mano)))
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(distinct)))
+    # both cluster kinds build the same model, so one kind stands for both
+    kinds = [ElementKind.CLUSTER_5GC] * len(distinct)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = dict(zip(distinct, pool.map(_cluster_unavailability, distinct)))
+            solved = dict(zip(distinct, pool.map(element_unavailability, kinds, distinct)))
     else:
-        solved = {tab: _cluster_unavailability(tab) for tab in distinct}
+        solved = dict(zip(distinct, map(element_unavailability, kinds, distinct)))
 
     base = {
         "ru": element_unavailability(ElementKind.RU, t),

@@ -444,11 +444,25 @@ def build_element(kind: ElementKind, t: IntensityTable) -> SanModel:
 
 
 @lru_cache(maxsize=None)
-def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
-    """Full pipeline: build, explore, eliminate vanishing, solve, extract."""
+def _solve_element(kind: ElementKind, t: IntensityTable) -> float:
     model = build_element(kind, t)
     chain = to_ctmc(eliminate_vanishing(explore(model)), UP)
     return unavailability(chain, steady_state_gth(chain))
+
+
+def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
+    """Full pipeline: build, explore, eliminate vanishing, solve, extract.
+
+    Cached per table; both cluster kinds share one entry, since they build
+    the same model.
+    """
+    if kind is ElementKind.CLUSTER_MANO:
+        kind = ElementKind.CLUSTER_5GC
+    return _solve_element(kind, t)
+
+
+element_unavailability.cache_clear = _solve_element.cache_clear
+element_unavailability.cache_info = _solve_element.cache_info
 
 
 def builtin_models(t: IntensityTable | None = None) -> dict:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from edgeavail import solver
 from edgeavail.cli import main
 
 from conftest import DATA, MODELS
@@ -67,6 +68,14 @@ def test_solve_absorbing_exits_2(capsys):
                        "--reward", "up")
     assert code == 2
     assert "computation error" in err
+
+
+def test_solve_oversized_dense_block_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_DENSE_MAX", 10)
+    code, out, err = run(capsys, "solve", str(MODELS / "cluster.san"),
+                         "--reward", "up")
+    assert code == 2 and not out
+    assert "computation error" in err and "--method iter" in err
 
 
 def test_solve_set_override(capsys):

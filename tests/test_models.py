@@ -123,6 +123,12 @@ def test_5gc_and_mano_share_the_model(table):
             == element_unavailability(ElementKind.CLUSTER_MANO, table))
 
 
+def test_both_cluster_kinds_share_one_cache_entry(table):
+    element_unavailability.cache_clear()
+    {k: element_unavailability(k, table) for k in ElementKind}
+    assert element_unavailability.cache_info().misses == 5
+
+
 def test_element_unavailability_is_cached_and_reproducible(table):
     first = element_unavailability(ElementKind.DU, table)
     again = element_unavailability(ElementKind.DU, table)

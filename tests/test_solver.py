@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from edgeavail import models as md
-from edgeavail.errors import NotConverged
+from edgeavail import solver
+from edgeavail.errors import DenseBlockTooLarge, NotConverged, NotIrreducible
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, take)
@@ -141,3 +142,52 @@ def test_unavailability_bounds(table):
     # an all-up reward gives unavailability zero (up to summation roundoff)
     all_up = Ctmc(c.states, c.place_order, c.Q, np.ones(c.n_states), "always")
     assert unavailability(all_up, ss) == pytest.approx(0.0, abs=1e-12)
+
+
+def _hand_chain(src, dst, n):
+    """A chain built without to_ctmc (which rejects reducible graphs), rate 1 per edge."""
+    off = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    Q = (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    return Ctmc([(i,) for i in range(n)], ("s",), Q, np.ones(n), "up")
+
+
+@pytest.mark.parametrize("size", [50, 600])
+def test_gth_rejects_two_closed_rings(size):
+    # 2 x 50 states runs the dense kernel alone, 2 x 600 the sparse stages too
+    src = np.arange(2 * size)
+    dst = size * (src // size) + (src + 1) % size
+    with pytest.raises(NotIrreducible):
+        steady_state_gth(_hand_chain(src, dst, 2 * size))
+
+
+@pytest.mark.parametrize("n", [5, 1000])
+def test_gth_rejects_absorbing_state_zero(n):
+    # every state drains into state 0, which has no exit: reducible at any size
+    src = np.arange(1, n)
+    with pytest.raises(NotIrreducible, match="state 0"):
+        steady_state_gth(_hand_chain(src, src - 1, n))
+
+
+def test_unavailability_keeps_digits_of_tiny_u():
+    lam, mu = 1e-12, 1.0
+    c = _chain(two_state_model(lam=lam, mu=mu))
+    u = unavailability(c, steady_state_gth(c))
+    # 1 - pi r would keep only ~4 digits here (1.0000889e-12)
+    assert abs(u - lam / (lam + mu)) <= 1e-12 * (lam / (lam + mu))
+
+
+def test_sparse_gth_matches_dense_kernel_and_repeats(table, monkeypatch):
+    c = _chain(md.build_cluster(table))      # (10, 9): above the dense block size
+    assert c.n_states > solver._DENSE_BLOCK
+    first = steady_state_gth(c).distribution
+    assert np.array_equal(first, steady_state_gth(c).distribution)
+    monkeypatch.setattr(solver, "_DENSE_BLOCK", c.n_states)
+    dense = steady_state_gth(c).distribution
+    assert np.max(np.abs(first - dense) / dense) < 1e-12
+
+
+def test_gth_refuses_oversized_dense_block(table, monkeypatch):
+    monkeypatch.setattr(solver, "_DENSE_MAX", 10)
+    with pytest.raises(DenseBlockTooLarge, match="--method iter") as err:
+        steady_state_gth(_chain(md.build_cluster(table)))
+    assert err.value.size > 10 and err.value.limit == 10
