@@ -9,21 +9,23 @@ assignments ``place += e`` / ``place -= e`` / ``place = e`` evaluated against
 the partially updated marking, which is enough to express every output gate
 used by the built-in models (including "reset and recount" style gates).
 
-Models are plain data and never mutated after construction; every operation
-here is a pure function of its inputs.  If several instantaneous activities
-are enabled at once they are selected with equal weights — none of the
-built-in models can reach such a marking, so this is a documented safety net.
+Models are plain data, never mutated after construction, and every function
+here is pure.  The token-game step lives in ``CompiledModel.moves``: enabled
+instantaneous activities pre-empt timed ones, sharing equal weights if
+several are enabled at once (no built-in model reaches such a marking; this
+is a documented safety net).
 Enabling of a timed activity that is lost and later regained resamples its
 delay; with exponential rates this is indistinguishable from resuming.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import expr as ex
-from .errors import NegativeTokens, NotEnabled
+from .errors import EvaluationError, NegativeTokens, NotEnabled
 
 Marking = dict  # place name -> non-negative token count
 
@@ -250,6 +252,27 @@ class CompiledModel:
 
     def marking_dict(self, vec) -> Marking:
         return {name: vec[i] for i, name in enumerate(self.place_order)}
+
+    def moves(self, vec) -> tuple:
+        """The token-game step at ``vec``: ``(tangible, [(activity, weight), ...])``.
+
+        Enabled instantaneous activities, if any, share weight equally (the
+        marking is vanishing); otherwise each enabled timed activity carries
+        its rate, which must be positive and finite, else ``EvaluationError``.
+        """
+        instant = [a for a in self.instant_activities if a.pred(vec) != 0.0]
+        if instant:
+            return False, [(a, 1.0 / len(instant)) for a in instant]
+        timed = []
+        for a in self.timed_activities:
+            if a.pred(vec) != 0.0:
+                rate = a.rate(vec)
+                if not 0.0 < rate < math.inf:
+                    raise EvaluationError(
+                        f"activity '{a.name}' has rate {rate!r} in marking "
+                        f"{self.marking_dict(vec)}")
+                timed.append((a, rate))
+        return True, timed
 
     def fire_vec(self, vec, act: CompiledActivity, case_index: int) -> tuple:
         """Apply input effects then the chosen case's effects, in order."""

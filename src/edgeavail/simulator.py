@@ -1,7 +1,9 @@
 """Discrete-event Monte-Carlo estimation of steady-state reward.
 
-An oracle deliberately independent of the state-space/solver path: it plays
-the token game directly on markings and never builds a generator matrix.
+An oracle for the state-space/solver path.  It shares only the compiled model
+and its one-step rule (``CompiledModel.moves``, which rejects bad rates) with
+the explorer: it plays the token game directly on markings, builds no
+generator matrix, eliminates no vanishing markings and calls no solver.
 
 Per step, every enabled timed activity's delay is resampled from its
 exponential rate; with memoryless rates this is statistically identical to
@@ -59,32 +61,26 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng):
     t = 0.0
     consecutive_instant = 0
     while t < horizon:
-        enabled_instant = [a for a in cm.instant_activities if a.pred(vec) != 0.0]
-        if enabled_instant:
+        tangible, moves = cm.moves(vec)
+        if not tangible:
             consecutive_instant += 1
             if consecutive_instant > LIVELOCK_LIMIT:
                 raise VanishingLivelock(LIVELOCK_LIMIT)
-            a = enabled_instant[0] if len(enabled_instant) == 1 else \
-                enabled_instant[rng.integers(len(enabled_instant))]
+            a = moves[0][0] if len(moves) == 1 else moves[rng.integers(len(moves))][0]
             vec = cm.fire_vec(vec, a, _pick_case(a, rng))
             continue
         consecutive_instant = 0
 
-        enabled = []
-        total = 0.0
-        for a in cm.timed_activities:
-            if a.pred(vec) != 0.0:
-                r = a.rate(vec)
-                total += r
-                enabled.append((a, r))
-        if not enabled:  # dead marking: the trajectory stays here forever
+        if not moves:  # dead marking: the trajectory stays here forever
             t_next = horizon
-            a = None
         else:
+            total = 0.0
+            for _, r in moves:
+                total += r
             t_next = t + rng.exponential(1.0 / total)
             u = rng.random() * total
             acc = 0.0
-            for a, r in enabled:
+            for a, r in moves:
                 acc += r
                 if u < acc:
                     break
@@ -103,10 +99,8 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng):
                         up[b] += width
                     up[b1] += hi - (warmup + b1 * width)
         t = t_next
-        if a is not None and t < horizon:
+        if t < horizon:
             vec = cm.fire_vec(vec, a, _pick_case(a, rng))
-        elif a is None:
-            break
     return up / width
 
 
@@ -119,7 +113,8 @@ def _pick_case(a, rng) -> int:
         acc += p
         if u < acc:
             return i
-    return len(a.case_probs) - 1
+    # the probabilities may sum to just under one: never pick a zero case
+    return max(i for i, p in enumerate(a.case_probs) if p > 0.0)
 
 
 def _t_interval(values: np.ndarray) -> tuple[float, float]:

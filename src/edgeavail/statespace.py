@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (EvaluationError, NotIrreducible, StateSpaceExceeded,
-                     UnknownReward, VanishingLoop)
+from .errors import (NotIrreducible, StateSpaceExceeded, UnknownReward,
+                     VanishingLoop)
 from .san import SanModel, compiled
 
 DEFAULT_MAX_STATES = 100_000
@@ -99,33 +99,14 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
     while queue:
         i = queue.popleft()
         vec = states[i]
-        enabled_instant = [a for a in cm.instant_activities if a.pred(vec) != 0.0]
-        while len(tangible) <= i:
-            tangible.append(True)
-        if enabled_instant:
-            tangible[i] = False
-            weight = 1.0 / len(enabled_instant)
-            for a in enabled_instant:
-                for ci, p in enumerate(a.case_probs):
-                    if p == 0.0:
-                        continue
-                    j = intern(cm.fire_vec(vec, a, ci))
-                    edges.append(Edge(i, j, weight * p, f"{a.name}/{ci}"))
-        else:
-            tangible[i] = True
-            for a in cm.timed_activities:
-                if a.pred(vec) == 0.0:
+        is_tangible, moves = cm.moves(vec)
+        tangible.append(is_tangible)
+        for a, weight in moves:
+            for ci, p in enumerate(a.case_probs):
+                if p == 0.0:
                     continue
-                rate = a.rate(vec)
-                if not (rate > 0.0) or not np.isfinite(rate):
-                    raise EvaluationError(
-                        f"activity '{a.name}' has rate {rate!r} in marking "
-                        f"{dict(zip(cm.place_order, vec))}")
-                for ci, p in enumerate(a.case_probs):
-                    if p == 0.0:
-                        continue
-                    j = intern(cm.fire_vec(vec, a, ci))
-                    edges.append(Edge(i, j, rate * p, f"{a.name}/{ci}"))
+                j = intern(cm.fire_vec(vec, a, ci))
+                edges.append(Edge(i, j, weight * p, f"{a.name}/{ci}"))
 
     return StateGraph(model, cm.place_order, states, tangible, edges, 0)
 

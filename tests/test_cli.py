@@ -133,6 +133,25 @@ def test_simulate_du_ci_covers_exact(capsys):
     assert abs(float(report["point"]) - exact_avail) <= float(report["ci_halfwidth"])
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("k", ["0", "-0.9"])
+def test_bad_rate_exits_1(capsys, tmp_path, command, k):
+    # "extra" adds rate k beside repair's 0.9 in the Down marking
+    path = tmp_path / "bad_rate.san"
+    path.write_text((DATA / "two_state.san").read_text() + f"""\
+param k = {k}
+activity timed extra rate "k" {{
+  input "#Down >= 1" {{ Down -= 1 }}
+  case 1 {{ Up += 1 }}
+}}
+""")
+    code, out, err = run(capsys, command, str(path), "--reward", "up")
+    assert code == 1 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: activity 'extra' has rate")
+
+
 def test_ft_paper_zeros(capsys):
     code, out, _ = run(capsys, "ft", "--paper",
                        *("--u-ru 0 --u-du 0 --u-cu 0 --u-meh 0 "

@@ -3,11 +3,12 @@
 import pytest
 
 from edgeavail import models as md
-from edgeavail.errors import VanishingLivelock
+from edgeavail.errors import EvaluationError, VanishingLivelock
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
-                           RewardPredicate, SanModel, put, take)
-from edgeavail.simulator import simulate, simulate_replicated
+                           RewardPredicate, SanModel, compiled, put, take,
+                           validate)
+from edgeavail.simulator import _pick_case, simulate, simulate_replicated
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
@@ -122,3 +123,53 @@ def test_simulation_handles_instantaneous_branching(table):
     du = md.build_du(table)
     est = simulate(du, "up", horizon=5e6, seed=123)
     assert 0.99 < est.point < 1.0
+
+
+@pytest.mark.parametrize("k", [0.0, -0.45])
+def test_bad_rate_rejected_by_explore_and_simulate(k):
+    # "extra" adds rate k beside repair's 0.9 in the Down marking; a total
+    # that stays positive must not hide the bad rate from the simulator
+    base = two_state_model()
+    repair = base.activity("repair")
+    m = SanModel(
+        places=base.places,
+        parameters={**base.parameters, "k": k},
+        activities=base.activities + (
+            Activity("extra", P("k"), repair.input, repair.cases),),
+        rewards=base.rewards,
+    )
+    assert validate(m) == []
+    with pytest.raises(EvaluationError, match="activity 'extra' has rate"):
+        explore(m)
+    with pytest.raises(EvaluationError, match="activity 'extra' has rate"):
+        simulate(m, "up", horizon=1e5, seed=1)
+
+
+class _StubRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_pick_case_never_falls_back_to_zero_probability_case():
+    # the probabilities sum to 1 - 1e-13, which validate() accepts; a draw
+    # above that sum must land on the last case that explore() enumerates
+    m = SanModel(
+        places=(Place("A", 1), Place("B", 0)),
+        parameters={},
+        activities=(
+            Activity("go", P("1"), InputSpec(P("#A >= 1"), (take("A"),)),
+                     (CaseSpec(0.7, (put("B"),)),
+                      CaseSpec(0.3 - 1e-13, (put("B"),)),
+                      CaseSpec(0.0, (put("B"),)))),
+            Activity("back", P("1"), InputSpec(P("#B >= 1"), (take("B"),)),
+                     (CaseSpec(1.0, (put("A"),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("#A >= 1")),),
+    )
+    assert validate(m) == []
+    go = compiled(m).activities[0]
+    assert _pick_case(go, _StubRng(1 - 2**-53)) == 1
+    assert _pick_case(go, _StubRng(0.5)) == 0

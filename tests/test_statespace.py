@@ -11,6 +11,8 @@ from edgeavail.errors import (NotIrreducible, StateSpaceExceeded,
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, take)
+from edgeavail.simulator import simulate
+from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
 from conftest import two_state_model
@@ -158,6 +160,41 @@ def test_vanishing_split_exact():
     assert out[0][0] == pytest.approx(0.15 * 2.0, abs=0)
     assert out[1][0] == pytest.approx(0.85 * 2.0, abs=0)
     assert out[0][1]["C"] == 1 and out[1][1]["B"] == 1
+
+
+def test_vanishing_chain_and_self_loop():
+    # A -2-> V1 -instant-> V2; V2 returns to itself w.p. 0.5 and leaves for
+    # B (0.3) or D (0.2); B -1-> A, D -4-> A.  Folding the chain and the loop
+    # leaves A -1.2-> B and A -0.8-> D, so U = 1 - 5/12.
+    m = SanModel(
+        places=(Place("A", 1), Place("V1", 0), Place("V2", 0), Place("B", 0),
+                Place("D", 0)),
+        parameters={},
+        activities=(
+            Activity("go", P("2"), InputSpec(P("#A >= 1"), (take("A"),)),
+                     (CaseSpec(1.0, (put("V1"),)),)),
+            Activity("hop", None, InputSpec(P("#V1 >= 1"), (take("V1"),)),
+                     (CaseSpec(1.0, (put("V2"),)),)),
+            Activity("branch", None, InputSpec(P("#V2 >= 1"), (take("V2"),)),
+                     (CaseSpec(0.5, (put("V2"),)), CaseSpec(0.3, (put("B"),)),
+                      CaseSpec(0.2, (put("D"),)))),
+            Activity("backB", P("1"), InputSpec(P("#B >= 1"), (take("B"),)),
+                     (CaseSpec(1.0, (put("A"),)),)),
+            Activity("backD", P("4"), InputSpec(P("#D >= 1"), (take("D"),)),
+                     (CaseSpec(1.0, (put("A"),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("#A >= 1")),),
+    )
+    g = explore(m)
+    assert g.n_vanishing == 2
+    reduced = eliminate_vanishing(g)
+    out = sorted((reduced.marking(e.dst)["B"], e.value)
+                 for e in reduced.edges if e.src == reduced.initial)
+    assert out == [(0, pytest.approx(0.8, rel=1e-15)), (1, pytest.approx(1.2, rel=1e-15))]
+    chain = to_ctmc(reduced, "up")
+    assert unavailability(chain, steady_state_gth(chain)) == pytest.approx(7 / 12, rel=1e-12)
+    est = simulate(m, "up", horizon=1e5, seed=1)
+    assert abs(est.point - 5 / 12) <= est.ci_halfwidth
 
 
 def test_elimination_without_vanishing_is_identity(two_state):
