@@ -204,6 +204,8 @@ def _cmd_ft(args) -> int:
 
 
 def _cmd_paper(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     try:
         table = md.default_table().with_overrides(**_parse_overrides(args.set))
     except (KeyError, ValueError) as err:

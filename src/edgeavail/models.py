@@ -126,7 +126,10 @@ class IntensityTable:
             raise KeyError(f"unknown parameter(s): {', '.join(unknown)}")
         for name in ("M", "K"):
             if name in overrides:
-                overrides[name] = int(overrides[name])
+                v = overrides[name]
+                if not float(v).is_integer():
+                    raise ValueError(f"{name} must be a whole number, got {v!r}")
+                overrides[name] = int(v)
         return dataclasses.replace(self, **overrides)
 
 

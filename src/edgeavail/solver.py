@@ -15,6 +15,8 @@ GTH censors states out of the chain.  It first censors whole independent
 sets of states at once (no transition between two states of a set), which
 gives the stochastic complement (Meyer 1989) through sparse products and
 no inverse, and touches only the nonzeros of these very sparse chains.
+That sparse stage is ``statespace.censor``, which also eliminates the
+vanishing markings before a chain reaches the solver.
 Once a set would censor only a small share of what is left, or at most a
 few hundred states remain, the remainder is copied into a dense block and
 eliminated state by state.  Chains at or below that size run the dense
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import DenseBlockTooLarge, NotConverged, NotIrreducible
-from .statespace import Ctmc
+from .statespace import Ctmc, _independent_set, _off_diagonal, censor
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -90,26 +92,6 @@ def _gth_dense(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return x
 
 
-def _off_diagonal(M) -> sp.csr_matrix:
-    """``M`` as CSR without its diagonal (self loops do not affect pi)."""
-    M = M.tocoo()
-    keep = M.row != M.col
-    return sp.csr_matrix((M.data[keep], (M.row[keep], M.col[keep])), shape=M.shape)
-
-
-def _independent_set(A: sp.csr_matrix) -> np.ndarray:
-    """Greedy independent set of ``A``'s graph, lowest degree first, as a mask."""
-    S = (A + A.T).tocsr()
-    indptr, indices = S.indptr, S.indices
-    taken = np.zeros(A.shape[0], dtype=bool)
-    blocked = np.zeros(A.shape[0], dtype=bool)
-    for v in np.argsort(np.diff(indptr), kind="stable").tolist():
-        if not blocked[v]:
-            taken[v] = True
-            blocked[indices[indptr[v]:indptr[v + 1]]] = True
-    return taken
-
-
 def steady_state_gth(c: Ctmc) -> SteadyState:
     """Stationary distribution by GTH elimination (subtraction-free, exact to roundoff).
 
@@ -132,18 +114,13 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
     stages = []
     while A.shape[0] > _DENSE_BLOCK:
         in_set = _independent_set(A)
-        I, R = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-        if I.size < _MIN_STAGE_SHARE * A.shape[0]:
+        if in_set.sum() < _MIN_STAGE_SHARE * A.shape[0]:
             break
-        A_I = A[I]
-        s_I = np.asarray(A_I.sum(axis=1)).ravel()
+        complement, I, R, A_RI, s_I = censor(A, in_set)
         bad = np.flatnonzero(~((s_I > 0.0) & np.isfinite(s_I)))
         if bad.size:
             raise _cut_off(labels[I[bad[0]]])
-        A_R = A[R]
-        A_RI = A_R[:, I]
-        A_IR = sp.diags(1.0 / s_I) @ A_I[:, R]
-        A = _off_diagonal(A_R[:, R] + A_RI @ A_IR)
+        A = _off_diagonal(complement)
         stages.append((I, R, A_RI, s_I))
         labels = labels[R]
 

@@ -5,12 +5,16 @@ when some instantaneous activity is enabled there (its sojourn time is zero);
 everything else is *tangible*.  Edges out of tangible markings carry rates,
 edges out of vanishing markings carry probabilities summing to one.
 
-``eliminate_vanishing`` folds each vanishing marking into its predecessors:
-an edge ``u -w-> v`` through vanishing ``v`` with branch ``v -p-> t`` becomes
-``u -w*p-> t``.  States are absorbed one at a time, which also handles chains
-and cycles of vanishing markings; a cycle whose return probability reaches
-one (within 1e-12) is reported as a livelock.  Total exit rate of every
-tangible marking is preserved exactly by construction.
+``eliminate_vanishing`` censors the vanishing markings away, an independent
+set of them (no edge between two) at a time, with ``censor``: the same
+stochastic-complement stage that ``solver.steady_state_gth`` runs.  Chains,
+cycles and self loops need no special case.  A censored marking's self loop
+is renormalized by dividing by its exit probability, never through ``1 - p``,
+so only nonnegative numbers are added, multiplied and divided.  A marking
+that exits with probability at most 1e-12 of its row (a cycle of vanishing
+markings returning with probability one) is reported as a livelock.  Every
+tangible exit rate is kept to roundoff; the reduced graph has one unlabeled
+edge per (source, target) pair, in row-major order.
 
 Exploration is single threaded and fully deterministic: activities fire in
 declaration order, cases in order, so state indices are reproducible run to
@@ -111,67 +115,85 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
     return StateGraph(model, cm.place_order, states, tangible, edges, 0)
 
 
+def _off_diagonal(M) -> sp.csr_matrix:
+    """``M`` as CSR without its diagonal (self loops do not affect pi)."""
+    M = M.tocoo()
+    keep = M.row != M.col
+    return sp.csr_matrix((M.data[keep], (M.row[keep], M.col[keep])), shape=M.shape)
+
+
+def _independent_set(A: sp.csr_matrix) -> np.ndarray:
+    """Greedy independent set of ``A``'s graph, lowest degree first, as a mask."""
+    S = (A + A.T).tocsr()
+    indptr, indices = S.indptr, S.indices
+    taken = np.zeros(A.shape[0], dtype=bool)
+    blocked = np.zeros(A.shape[0], dtype=bool)
+    for v in np.argsort(np.diff(indptr), kind="stable").tolist():
+        if not blocked[v]:
+            taken[v] = True
+            blocked[indices[indptr[v]:indptr[v + 1]]] = True
+    return taken
+
+
+def censor(A: sp.csr_matrix, in_set: np.ndarray):
+    """Censor the states I of ``in_set`` out of the chain with weights ``A``.
+
+    I must be independent (no transition between two of its states; self
+    loops are allowed).  The stochastic complement on the states left, R, is
+    then ``A[R,R] + A[R,I] diag(1/s_I) A[I,R]`` (Meyer 1989), where ``s_I``
+    sums each row of ``A[I,R]``, so a self loop in I is renormalized away.
+    Returns ``(complement, I, R, A_RI, s_I)``, the last four for
+    back-substitution.  A zero or tiny ``s_I`` marks a state that cannot
+    leave I; each caller checks ``s_I`` and raises its own error.
+    """
+    I, R = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+    A_IR = A[I][:, R]
+    s_I = np.asarray(A_IR.sum(axis=1)).ravel()
+    A_R = A[R]
+    A_RI = A_R[:, I]
+    with np.errstate(divide="ignore"):
+        scale = 1.0 / s_I
+    return A_R[:, R] + A_RI @ (sp.diags(scale) @ A_IR), I, R, A_RI, s_I
+
+
+def _matrix(g: StateGraph) -> sp.csr_matrix:
+    """The graph's weights as CSR, parallel edges summed, self loops kept."""
+    n = g.n_states
+    src = np.fromiter((e.src for e in g.edges), dtype=np.int64, count=len(g.edges))
+    dst = np.fromiter((e.dst for e in g.edges), dtype=np.int64, count=len(g.edges))
+    val = np.fromiter((e.value for e in g.edges), dtype=float, count=len(g.edges))
+    return sp.csr_matrix((val, (src, dst)), shape=(n, n))
+
+
 def eliminate_vanishing(g: StateGraph) -> StateGraph:
-    """Fold vanishing states away, leaving a tangible-only graph."""
+    """Censor vanishing states away, leaving a tangible-only graph."""
     if g.n_vanishing == 0:
         return StateGraph(g.model, g.place_order, list(g.states), list(g.tangible),
                           list(g.edges), g.initial)
 
-    # Mutable adjacency keyed by edge id.
-    edges = {i: e for i, e in enumerate(g.edges)}
-    out_ids = {i: set() for i in range(g.n_states)}
-    in_ids = {i: set() for i in range(g.n_states)}
-    for eid, e in edges.items():
-        out_ids[e.src].add(eid)
-        in_ids[e.dst].add(eid)
-    next_id = len(g.edges)
+    A = _matrix(g)
+    keep = np.arange(g.n_states)
+    vanishing = ~np.array(g.tangible, dtype=bool)
+    while vanishing.any():
+        in_set = vanishing.copy()
+        in_set[vanishing] = _independent_set(A[vanishing][:, vanishing])
+        loops = A.diagonal()[in_set]
+        A, I, R, _, s_I = censor(A, in_set)
+        trapped = np.flatnonzero(~(s_I > _LOOP_TOL * (s_I + loops)))
+        if trapped.size:
+            k = trapped[0]
+            raise VanishingLoop(
+                f"vanishing marking {g.marking(keep[I[k]])} returns to itself "
+                f"with weight {loops[k]!r} and leaves with {s_I[k]!r}")
+        keep, vanishing = keep[R], vanishing[R]
 
-    def add_edge(src, dst, value, label):
-        nonlocal next_id
-        e = Edge(src, dst, value, label)
-        edges[next_id] = e
-        out_ids[src].add(next_id)
-        in_ids[dst].add(next_id)
-        next_id += 1
-
-    def drop_edge(eid):
-        e = edges.pop(eid)
-        out_ids[e.src].discard(eid)
-        in_ids[e.dst].discard(eid)
-
-    for v in range(g.n_states):
-        if g.tangible[v]:
-            continue
-        # Remove any self loop first, renormalizing the remaining branches.
-        self_prob = sum(edges[eid].value for eid in out_ids[v] if edges[eid].dst == v)
-        if self_prob > 0.0:
-            if self_prob >= 1.0 - _LOOP_TOL:
-                raise VanishingLoop(
-                    f"vanishing marking {g.marking(v)} returns to itself "
-                    f"with probability {self_prob!r}")
-            scale = 1.0 / (1.0 - self_prob)
-            for eid in list(out_ids[v]):
-                e = edges[eid]
-                if e.dst == v:
-                    drop_edge(eid)
-                else:
-                    edges[eid] = Edge(e.src, e.dst, e.value * scale, e.label)
-        branches = [edges[eid] for eid in out_ids[v]]
-        for eid in list(in_ids[v]):
-            e = edges[eid]
-            drop_edge(eid)
-            for b in branches:
-                add_edge(e.src, b.dst, e.value * b.value, e.label)
-        for eid in list(out_ids[v]):
-            drop_edge(eid)
-
-    keep = [i for i in range(g.n_states) if g.tangible[i]]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_edges = [Edge(remap[e.src], remap[e.dst], e.value, e.label)
-                 for e in (edges[eid] for eid in sorted(edges))]
-    initial = remap.get(g.initial, 0)
+    A.sum_duplicates()
+    C = A.tocoo()
+    edges = [Edge(i, j, v, "")
+             for i, j, v in zip(C.row.tolist(), C.col.tolist(), C.data.tolist())]
+    initial = keep.tolist().index(g.initial) if g.tangible[g.initial] else 0
     return StateGraph(g.model, g.place_order, [g.states[i] for i in keep],
-                      [True] * len(keep), new_edges, initial)
+                      [True] * keep.size, edges, initial)
 
 
 @dataclass
@@ -203,29 +225,17 @@ def to_ctmc(g: StateGraph, reward: str) -> Ctmc:
     if reward_fn is None:
         raise UnknownReward(reward, list(cm.rewards))
 
-    n = g.n_states
-    rows, cols, vals = [], [], []
-    for e in g.edges:
-        if e.src == e.dst:
-            continue
-        rows.append(e.src)
-        cols.append(e.dst)
-        vals.append(e.value)
-    Q = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates
-    exit_rates = np.asarray(Q.sum(axis=1)).ravel()
-    Q = Q + sp.diags(-exit_rates, format="csr")
+    A = _off_diagonal(_matrix(g))
+    exit_rates = np.asarray(A.sum(axis=1)).ravel()
+    Q = A + sp.diags(-exit_rates, format="csr")
 
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    n_comp, labels = connected_components(A, directed=True, connection="strong")
     if n_comp != 1:
         sizes = np.bincount(labels, minlength=n_comp)
-        outgoing = np.zeros(n_comp, dtype=bool)
-        coo = adj.tocoo()
-        for i, j in zip(coo.row, coo.col):
-            if labels[i] != labels[j]:
-                outgoing[labels[i]] = True
-        classes = [f"class {c}: {sizes[c]} states"
-                   + (" (closed)" if not outgoing[c] else "")
+        C = A.tocoo()
+        cross = labels[C.row] != labels[C.col]
+        closed = np.bincount(labels[C.row[cross]], minlength=n_comp) == 0
+        classes = [f"class {c}: {sizes[c]} states" + (" (closed)" if closed[c] else "")
                    for c in range(n_comp)]
         raise NotIrreducible(
             f"chain splits into {n_comp} communicating classes: " + "; ".join(classes))

@@ -6,6 +6,7 @@ from edgeavail.expr import parse_expression as P
 from edgeavail.models import default_table
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, take)
+from edgeavail.statespace import Edge, StateGraph
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -25,6 +26,15 @@ def two_state_model(lam=0.1, mu=0.9) -> SanModel:
         rewards=(RewardPredicate("up", P("#Up >= 1")),),
         description="two-state fail/repair",
     )
+
+
+def state_graph(tangible, edges, initial=0) -> StateGraph:
+    """A graph built without a model: state ``i`` is the marking ``(i,)``,
+    ``edges`` are ``(src, dst, value)`` triples."""
+    return StateGraph(None, ("S",), [(i,) for i in range(len(tangible))],
+                      list(tangible),
+                      [Edge(s, d, v, f"e{k}/0") for k, (s, d, v) in enumerate(edges)],
+                      initial)
 
 
 @pytest.fixture(scope="session")

@@ -228,6 +228,27 @@ def test_paper_rejects_unknown_parameter_exits_64(capsys):
     assert code == 64
 
 
+def test_paper_rejects_fractional_cluster_size_exits_64(capsys):
+    code, _, err = run(capsys, "paper", "fig6", "--set", "K=8.7", "--out", "-")
+    assert code == 64
+    assert "K must be a whole number, got 8.7" in err
+
+
+def test_paper_accepts_whole_cluster_size_as_float(capsys):
+    code, out, _ = run(capsys, "paper", "fig7", "--set", "K=9.0", "--out", "-",
+                       "--jobs", "1")
+    assert code == 0
+    _, default, _ = run(capsys, "paper", "fig7", "--out", "-", "--jobs", "1")
+    assert out == default
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_paper_rejects_non_positive_jobs_exits_64(capsys, jobs):
+    code, _, err = run(capsys, "paper", "fig7", "--out", "-", "--jobs", jobs)
+    assert code == 64
+    assert "--jobs must be >= 1" in err
+
+
 def test_paper_json_summary(capsys, tmp_path):
     code, out, _ = run(capsys, "paper", "fig7", "--out",
                        str(tmp_path / "f7.csv"), "--jobs", "1", "--json")

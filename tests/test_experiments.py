@@ -1,6 +1,7 @@
 """Sweep runners: row structure, caching, CSV schema, reproducibility."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -145,3 +146,26 @@ def test_svg_chart(tmp_path):
     assert path.read_text() == text
     assert text.startswith("<svg") and text.endswith("</svg>")
     assert text.count("<path") == 2
+
+
+# sha256 of the five study CSVs on the shipped catalog, as recorded in CHANGES.md.
+STUDY_SHA256 = {
+    "table3": "0d84b2c5518d0bfec35216ea0274771df6489951fa2751f232612c17638dd3d8",
+    "fig6": "139949215b69936d90f8d4082bc154e9d9ac88615c1f23f8ded3ed8306c090d1",
+    "fig7": "5b1a47771cbea81b57221e3b55431add7eed7265e02d9abb951cd61c48cbbb0c",
+    "fig8": "30ca899a436a9c8711657e395896d5ae1b2002bf386959e0dfb5e3a34f34ed26",
+    "fig9": "d77f2374879546aebaca5eafe4d7edde2ac359ba36c0baa192d751273128850f",
+}
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_SHA256))
+def test_study_csvs_are_byte_identical(table, table3, study):
+    run = {
+        "table3": lambda: table3,
+        "fig6": lambda: xp.run_cluster_sweep(table, jobs=1),
+        "fig7": lambda: xp.run_redundancy_configs(table, jobs=1),
+        "fig8": lambda: xp.run_alpha_sweep(table, "both", jobs=1),
+        "fig9": lambda: xp.run_alpha_sweep(table, "mano", jobs=1),
+    }[study]
+    csv_text = run().to_csv()
+    assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == STUDY_SHA256[study]

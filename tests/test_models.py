@@ -39,6 +39,16 @@ def test_catalog_validation():
         md.default_table().with_overrides(no_such_rate=1.0)
 
 
+def test_cluster_sizes_must_be_whole_numbers():
+    t = md.default_table()
+    assert (t.with_overrides(M=10.0, K=8.0).M, t.with_overrides(K=8.0).K) == (10, 8)
+    assert isinstance(t.with_overrides(K=8.0).K, int)
+    with pytest.raises(ValueError, match="K must be a whole number, got 8.7"):
+        t.with_overrides(K=8.7)
+    with pytest.raises(ValueError, match="M must be a whole number"):
+        t.with_overrides(M=float("inf"))
+
+
 def test_ru_unavailability_magnitude(table):
     u = _solve(md.build_ru(table))
     assert u == pytest.approx(7.2e-4, rel=2e-3)

@@ -15,7 +15,7 @@ from edgeavail.simulator import simulate
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
-from conftest import two_state_model
+from conftest import state_graph, two_state_model
 
 
 def _pipeline(model, reward="up"):
@@ -246,6 +246,32 @@ def test_vanishing_loop_detected():
         eliminate_vanishing(explore(m))
 
 
+def _self_loop_graph(stay):
+    # T0 -1-> V1; V1 stays w.p. stay and leaves for T2 with the rest; T2 -1-> T0.
+    return state_graph([True, False, True],
+                       [(0, 1, 1.0), (1, 1, stay), (1, 2, 1.0 - stay), (2, 0, 1.0)])
+
+
+def test_vanishing_self_loop_just_below_one_is_a_loop():
+    with pytest.raises(VanishingLoop):
+        eliminate_vanishing(_self_loop_graph(1.0 - 1e-13))
+
+
+def test_vanishing_self_loop_well_below_one_is_renormalized():
+    reduced = eliminate_vanishing(_self_loop_graph(1.0 - 1e-9))
+    assert reduced.states == [(0,), (2,)]
+    assert [(e.src, e.dst, e.label) for e in reduced.edges] == [(0, 1, ""), (1, 0, "")]
+    assert reduced.edges[0].value == pytest.approx(1.0, rel=1e-15)
+    assert reduced.edges[1].value == 1.0
+
+
+def test_closed_vanishing_cycle_is_a_loop():
+    g = state_graph([True, False, False, False],
+                    [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
+    with pytest.raises(VanishingLoop):
+        eliminate_vanishing(g)
+
+
 def test_to_ctmc_two_state(two_state):
     c = _pipeline(two_state)
     Q = c.Q.toarray()
@@ -285,8 +311,10 @@ def test_absorbing_state_rejected():
         ),
         rewards=(RewardPredicate("up", P("#Up >= 1")),),
     )
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(NotIrreducible) as err:
         _pipeline(m)
+    assert str(err.value) == ("chain splits into 2 communicating classes: "
+                              "class 0: 1 states (closed); class 1: 1 states")
 
 
 def test_unknown_reward(two_state):
