@@ -12,6 +12,14 @@ and attributed proportionally.  Instantaneous activities fire immediately
 (equal weights if several are enabled at once); more than a million
 consecutive zero-time firings is reported as a livelock.
 
+A trajectory revisits a few dozen markings many thousands of times, so each
+``simulate`` or ``simulate_replicated`` call memoizes, per visited marking,
+its ``moves``, their total rate and the reward flag (the reward is evaluated
+at tangible markings only), for up to ``DEFAULT_MAX_STATES`` markings; the
+rest are stepped afresh on every visit.  The random draws and the
+``fire_vec`` call per firing are the same as without the memo, so estimates
+are unchanged, and a bad rate still raises on the marking's first visit.
+
 The estimate is the time average of a 0/1 reward over ``(warmup, horizon]``
 with a batch-means 95% confidence interval (Student-t over equal-width
 batches).  Randomness comes from numpy's PCG64 seeded through
@@ -28,6 +36,7 @@ import numpy as np
 
 from .errors import VanishingLivelock
 from .san import SanModel, compiled
+from .statespace import DEFAULT_MAX_STATES
 
 LIVELOCK_LIMIT = 1_000_000
 DEFAULT_BATCHES = 20
@@ -46,6 +55,8 @@ def _check_common(model, reward, horizon, warmup):
     cm = compiled(model)
     if reward not in cm.rewards:
         raise ValueError(f"model has no reward named '{reward}'")
+    if not math.isfinite(horizon):
+        raise ValueError(f"need a finite horizon, got {horizon}")
     if warmup is None:
         warmup = 0.01 * horizon
     if not horizon > warmup >= 0:
@@ -53,15 +64,38 @@ def _check_common(model, reward, horizon, warmup):
     return cm, warmup
 
 
-def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng):
-    """One trajectory; returns per-batch up-time over (warmup, horizon]."""
+def _step(cm, reward_fn, vec) -> tuple:
+    """``(tangible, moves, total, is_up)`` at ``vec``: ``cm.moves(vec)``, its
+    timed total summed in declaration order, and whether the reward is
+    nonzero, which is evaluated at tangible markings only."""
+    tangible, moves = cm.moves(vec)
+    if not tangible:
+        return False, moves, 0.0, False
+    total = 0.0
+    for _, r in moves:
+        total += r
+    return True, moves, total, reward_fn(vec) != 0.0
+
+
+def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
+    """One trajectory; returns per-batch up-time over (warmup, horizon].
+
+    ``memo`` maps markings to their ``_step``; it fills up to
+    ``DEFAULT_MAX_STATES`` entries, beyond which markings are stepped afresh
+    on every visit.
+    """
     width = (horizon - warmup) / batches
     up = np.zeros(batches)
     vec = cm.initial
     t = 0.0
     consecutive_instant = 0
     while t < horizon:
-        tangible, moves = cm.moves(vec)
+        step = memo.get(vec)
+        if step is None:
+            step = _step(cm, reward_fn, vec)
+            if len(memo) < DEFAULT_MAX_STATES:
+                memo[vec] = step
+        tangible, moves, total, is_up = step
         if not tangible:
             consecutive_instant += 1
             if consecutive_instant > LIVELOCK_LIMIT:
@@ -74,9 +108,6 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng):
         if not moves:  # dead marking: the trajectory stays here forever
             t_next = horizon
         else:
-            total = 0.0
-            for _, r in moves:
-                total += r
             t_next = t + rng.exponential(1.0 / total)
             u = rng.random() * total
             acc = 0.0
@@ -85,7 +116,7 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng):
                 if u < acc:
                     break
 
-        if reward_fn(vec) != 0.0:
+        if is_up:
             lo = max(t, warmup)
             hi = min(t_next, horizon)
             if hi > lo:
@@ -134,7 +165,7 @@ def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None 
         raise ValueError(f"batches must be >= 2, got {batches}")
     cm, warmup = _check_common(model, reward, horizon, warmup)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means = _batch_uptimes(cm, cm.rewards[reward], horizon, warmup, batches, rng)
+    means = _batch_uptimes(cm, cm.rewards[reward], horizon, warmup, batches, rng, {})
     point, half = _t_interval(means)
     return SimEstimate(point, half, batches, horizon, int(seed))
 
@@ -148,8 +179,10 @@ def simulate_replicated(model: SanModel, reward: str, horizon: float,
     cm, warmup = _check_common(model, reward, horizon, warmup)
     reward_fn = cm.rewards[reward]
     children = np.random.SeedSequence(seed).spawn(replications)
+    memo = {}
     means = np.array([
-        _batch_uptimes(cm, reward_fn, horizon, warmup, 1, np.random.default_rng(child))[0]
+        _batch_uptimes(cm, reward_fn, horizon, warmup, 1, np.random.default_rng(child),
+                       memo)[0]
         for child in children
     ])
     point, half = _t_interval(means)

@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import signal
 
 import pytest
 
@@ -35,6 +37,21 @@ def state_graph(tangible, edges, initial=0) -> StateGraph:
                       list(tangible),
                       [Edge(s, d, v, f"e{k}/0") for k, (s, d, v) in enumerate(edges)],
                       initial)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` inside the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 from edgeavail import solver
 from edgeavail.cli import main
 
-from conftest import DATA, MODELS
+from conftest import DATA, MODELS, deadline
 
 TWO_STATE = str(DATA / "two_state.san")
 
@@ -122,6 +122,14 @@ def test_simulate_single_batch_exits_64(capsys):
     code, _, err = run(capsys, "simulate", TWO_STATE, "--reward", "up",
                        "--batches", "1")
     assert code == 64 and "usage error" in err
+
+
+def test_simulate_infinite_horizon_exits_1(capsys):
+    with deadline(10):
+        code, out, err = run(capsys, "simulate", str(MODELS / "du.san"), "--reward",
+                             "up", "--horizon", "inf", "--warmup", "0")
+    assert code == 1 and not out
+    assert err.strip().splitlines() == ["error: need a finite horizon, got inf"]
 
 
 def test_simulate_du_ci_covers_exact(capsys):

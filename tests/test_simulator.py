@@ -1,18 +1,21 @@
 """Monte-Carlo estimator: calibration, determinism, failure modes."""
 
+import math
+
 import pytest
 
 from edgeavail import models as md
+from edgeavail import simulator
 from edgeavail.errors import EvaluationError, VanishingLivelock
 from edgeavail.expr import parse_expression as P
-from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
+from edgeavail.san import (Activity, CaseSpec, CompiledModel, InputSpec, Place,
                            RewardPredicate, SanModel, compiled, put, take,
                            validate)
 from edgeavail.simulator import _pick_case, simulate, simulate_replicated
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
-from conftest import two_state_model
+from conftest import deadline, two_state_model
 
 
 def test_two_state_point_and_coverage(two_state):
@@ -74,6 +77,16 @@ def test_batches_must_be_at_least_two(two_state):
 def test_warmup_must_precede_horizon(two_state):
     with pytest.raises(ValueError):
         simulate(two_state, "up", horizon=1e3, warmup=1e3, seed=1)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_rejected(two_state, horizon):
+    # with warmup 0 an infinite horizon passed the ordering check and the
+    # trajectory never ended
+    with deadline(10), pytest.raises(ValueError, match="need a finite horizon"):
+        simulate(two_state, "up", horizon=horizon, warmup=0.0, seed=1)
+    with deadline(10), pytest.raises(ValueError, match="need a finite horizon"):
+        simulate_replicated(two_state, "up", horizon=horizon, warmup=0.0, seed=1)
 
 
 def test_unknown_reward_rejected(two_state):
@@ -173,3 +186,84 @@ def test_pick_case_never_falls_back_to_zero_probability_case():
     go = compiled(m).activities[0]
     assert _pick_case(go, _StubRng(1 - 2**-53)) == 1
     assert _pick_case(go, _StubRng(0.5)) == 0
+
+
+def test_reward_evaluated_only_at_tangible_markings():
+    # A -2-> V -instant-> B -1-> A; the reward divides by zero at the
+    # vanishing marking V, where the trajectory spends no time
+    m = SanModel(
+        places=(Place("A", 1), Place("V", 0), Place("B", 0)),
+        parameters={},
+        activities=(
+            Activity("a_v", P("2"), InputSpec(P("#A >= 1"), (take("A"),)),
+                     (CaseSpec(1.0, (put("V"),)),)),
+            Activity("v_b", None, InputSpec(P("#V >= 1"), (take("V"),)),
+                     (CaseSpec(1.0, (put("B"),)),)),
+            Activity("b_a", P("1"), InputSpec(P("#B >= 1"), (take("B"),)),
+                     (CaseSpec(1.0, (put("A"),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("1 / (1 - #V) >= 1")),),
+    )
+    assert validate(m) == []
+    est = simulate(m, "up", horizon=1e4, seed=1)
+    assert est.point == 1.0 and est.ci_halfwidth == 0.0
+    assert simulate_replicated(m, "up", horizon=1e3, replications=3, seed=1).point == 1.0
+
+
+# (point, ci_halfwidth) at horizon 2e5, seed 5, as the loop gave before the
+# memo (numpy PCG64); they move if a draw, a sum's order or the loop changes
+PINNED = {
+    "ru": (0.9992739577267274, 0.0002189093371831159),
+    "du": (0.9994270937086391, 0.00017161656259666525),
+    "cu": (0.9997750446459717, 7.811492392467486e-05),
+    "meh": (0.9993653256921331, 0.00015309890914099334),
+    "cluster": (0.9996696218889449, 0.00014182804156169648),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_memo_never_changes_an_estimate(table, monkeypatch, name, cap):
+    # cap 0 steps every visit afresh, as the loop did before the memo;
+    # cap 1 memoizes the first marking only, so both paths interleave
+    model = md.builtin_models(table)[name]
+    memoized = simulate(model, "up", horizon=2e5, seed=5)
+    assert (memoized.point, memoized.ci_halfwidth) == PINNED[name]
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", cap)
+    assert simulate(model, "up", horizon=2e5, seed=5) == memoized
+
+
+@pytest.mark.parametrize("name", ["du", "cluster"])
+def test_memo_never_changes_a_replicated_estimate(table, monkeypatch, name):
+    model = md.builtin_models(table)[name]
+    memoized = simulate_replicated(model, "up", horizon=5e4, replications=4, seed=9)
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
+    assert simulate_replicated(model, "up", horizon=5e4, replications=4,
+                               seed=9) == memoized
+
+
+def test_memo_steps_each_marking_once_and_fires_as_often(table, monkeypatch):
+    moves, fire_vec = CompiledModel.moves, CompiledModel.fire_vec
+    stepped, fired = [], []
+
+    def counted_moves(self, vec):
+        stepped.append(vec)
+        return moves(self, vec)
+
+    def counted_fire_vec(self, vec, act, case_index):
+        fired.append(vec)
+        return fire_vec(self, vec, act, case_index)
+
+    monkeypatch.setattr(CompiledModel, "moves", counted_moves)
+    monkeypatch.setattr(CompiledModel, "fire_vec", counted_fire_vec)
+    cluster = md.build_cluster(table)
+    simulate(cluster, "up", horizon=2e5, seed=5)
+    memo_steps, memo_fires = list(stepped), list(fired)
+    assert len(set(memo_steps)) == len(memo_steps) < len(memo_fires)
+
+    stepped.clear()
+    fired.clear()
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
+    simulate(cluster, "up", horizon=2e5, seed=5)
+    assert fired == memo_fires
+    assert set(stepped) == set(memo_steps) and len(stepped) == len(fired) + 1
