@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -136,6 +137,12 @@ def _emit(report: dict, as_json: bool):
 
 
 def _cmd_solve(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
+    if args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
+    if args.max_states < 1:
+        raise UsageError("--max-states must be >= 1")
     model = _load_model(args.path, _parse_overrides(args.set))
     graph = explore(model, args.max_states)
     chain = to_ctmc(eliminate_vanishing(graph), args.reward)

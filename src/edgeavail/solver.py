@@ -8,8 +8,11 @@ other:
   so it stays accurate even when rates span many orders of magnitude (here:
   1e-6 .. 240 per hour).  Default.
 * ``steady_state_iterative`` — Gauss-Seidel sweeps on ``pi Q = 0`` with
-  renormalization after every sweep, implemented as one sparse triangular
-  solve per sweep.
+  renormalization after every sweep (Stewart 1994, ch. 3), implemented as
+  one sparse triangular solve per sweep.  The lower triangle is scaled to a
+  unit diagonal, ``(D+L) D^-1``, once per solve; each sweep then solves with
+  it and multiplies by ``1/diag``, the arithmetic ``spsolve_triangular``
+  would otherwise redo on every call.
 
 GTH censors states out of the chain.  It first censors whole independent
 sets of states at once (no transition between two states of a set), which
@@ -141,8 +144,13 @@ def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,
     """Gauss-Seidel on ``pi Q = 0``.
 
     Converged when the max-norm change between successive normalized iterates
-    drops below ``tol``.
+    drops below ``tol``, which must be positive and finite; ``max_iter``
+    must be at least 1.
     """
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = c.n_states
     if n == 1:
         return SteadyState(np.ones(1), "iterative", _residual(np.ones(1), c.Q))
@@ -150,13 +158,21 @@ def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,
     A = c.Q.T.tocsr()
     lower = sp.tril(A, 0).tocsr()          # D + L
     upper = sp.triu(A, 1).tocsr()          # U
-    if np.any(lower.diagonal() == 0.0):
+    diag = lower.diagonal()
+    if np.any(diag == 0.0):
         raise NotIrreducible("a state has zero exit rate (absorbing)")
+    inv = 1.0 / diag
+    # (D + L) D^-1 as canonical CSC: the solve below neither copies nor
+    # re-sorts it, and only resets its diagonal to exactly 1.
+    unit_lower = (lower @ sp.diags(inv)).tocsc()
+    unit_lower.sum_duplicates()
 
     x = np.full(n, 1.0 / n)
     change = np.inf
     for sweep in range(1, max_iter + 1):
-        x_new = spsolve_triangular(lower, -(upper @ x), lower=True)
+        x_new = spsolve_triangular(unit_lower, -(upper @ x), lower=True,
+                                   unit_diagonal=True, overwrite_A=True,
+                                   overwrite_b=True) * inv
         total = x_new.sum()
         if total == 0.0 or not np.isfinite(total):
             raise NotConverged(sweep, float("nan"), float("nan"))

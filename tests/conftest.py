@@ -2,13 +2,14 @@ import contextlib
 import pathlib
 import signal
 
+import numpy as np
 import pytest
 
 from edgeavail.expr import parse_expression as P
 from edgeavail.models import default_table
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, take)
-from edgeavail.statespace import Edge, StateGraph
+from edgeavail.statespace import StateGraph
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -32,10 +33,12 @@ def two_state_model(lam=0.1, mu=0.9) -> SanModel:
 
 def state_graph(tangible, edges, initial=0) -> StateGraph:
     """A graph built without a model: state ``i`` is the marking ``(i,)``,
-    ``edges`` are ``(src, dst, value)`` triples."""
+    ``edges`` are ``(src, dst, value)`` triples, edge ``k`` labeled ``ek/0``."""
+    src, dst, value = (list(column) for column in zip(*edges)) if edges else ([], [], [])
     return StateGraph(None, ("S",), [(i,) for i in range(len(tangible))],
-                      list(tangible),
-                      [Edge(s, d, v, f"e{k}/0") for k, (s, d, v) in enumerate(edges)],
+                      list(tangible), np.array(src, dtype=np.int64),
+                      np.array(dst, dtype=np.int64), np.array(value, dtype=float),
+                      np.arange(len(edges)), tuple(f"e{k}/0" for k in range(len(edges))),
                       initial)
 
 

@@ -51,6 +51,21 @@ def test_solve_iterative_method(capsys):
     assert float(report["unavailability"]) == pytest.approx(0.1, abs=1e-10)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "--tol must be positive and finite"),
+    ("--tol", "-1", "--tol must be positive and finite"),
+    ("--tol", "0", "--tol must be positive and finite"),
+    ("--max-iter", "-3", "--max-iter must be >= 1"),
+    ("--max-states", "-3", "--max-states must be >= 1"),
+])
+def test_solve_bad_limits_exit_64(capsys, flag, value, message):
+    with deadline(10):
+        code, out, err = run(capsys, "solve", str(MODELS / "du.san"), "--reward", "up",
+                             "--method", "iter", flag, value)
+    assert code == 64 and not out
+    assert err.strip() == f"usage error: {message}"
+
+
 def test_solve_parse_error_exits_1(capsys):
     code, out, err = run(capsys, "solve", str(DATA / "broken.san"),
                          "--reward", "up")

@@ -1,8 +1,11 @@
 """Steady-state solvers: exactness, cross-agreement, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from edgeavail import models as md
 from edgeavail import solver
@@ -14,7 +17,7 @@ from edgeavail.solver import (availability, steady_state_gth,
                               steady_state_iterative, unavailability)
 from edgeavail.statespace import Ctmc, eliminate_vanishing, explore, to_ctmc
 
-from conftest import two_state_model
+from conftest import deadline, two_state_model
 
 
 def _chain(model, reward="up"):
@@ -191,3 +194,46 @@ def test_gth_refuses_oversized_dense_block(table, monkeypatch):
     with pytest.raises(DenseBlockTooLarge, match="--method iter") as err:
         steady_state_gth(_chain(md.build_cluster(table)))
     assert err.value.size > 10 and err.value.limit == 10
+
+
+def _gauss_seidel_per_call(c, tol):
+    """The sweep with ``spsolve_triangular`` preparing ``D + L`` on every call."""
+    A = c.Q.T.tocsr()
+    lower = sp.tril(A, 0).tocsr()
+    upper = sp.triu(A, 1).tocsr()
+    x = np.full(c.n_states, 1.0 / c.n_states)
+    for sweep in range(1, 100_000):
+        x_new = spsolve_triangular(lower, -(upper @ x), lower=True)
+        x_new /= x_new.sum()
+        change = np.max(np.abs(x_new - x))
+        x = x_new
+        if change < tol:
+            return x, sweep
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("build", [md.build_cluster, md.build_meh])
+def test_gauss_seidel_matches_per_call_reference(table, monkeypatch, build):
+    # cluster (10, 9), and MEH, whose graph has vanishing markings
+    c = _chain(build(table))
+    expected, sweeps = _gauss_seidel_per_call(c, 1e-14)
+    calls = []
+    solve = solver.spsolve_triangular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "spsolve_triangular", counted)
+    got = steady_state_iterative(c, tol=1e-14)
+    assert np.array_equal(got.distribution, expected)
+    assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("limits", [
+    {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
+    {"max_iter": 0}, {"max_iter": -3}])
+def test_iterative_rejects_bad_limits(table, limits):
+    c = _chain(md.build_du(table))
+    with deadline(5), pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        steady_state_iterative(c, **limits)

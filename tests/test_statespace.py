@@ -1,21 +1,25 @@
 """Reachability, vanishing-marking elimination, and generator assembly."""
 
+import hashlib
 from collections import deque
 
 import numpy as np
 import pytest
 
 from edgeavail import models as md
-from edgeavail.errors import (NotIrreducible, StateSpaceExceeded,
+from edgeavail import statespace
+from edgeavail.document import parse_model
+from edgeavail.errors import (DivisionByZero, EvaluationError, NegativeTokens,
+                              NotIrreducible, StateSpaceExceeded,
                               UnknownReward, VanishingLoop)
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
-                           RewardPredicate, SanModel, put, take)
+                           RewardPredicate, SanModel, put, set_to, take)
 from edgeavail.simulator import simulate
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
-from conftest import state_graph, two_state_model
+from conftest import MODELS, deadline, state_graph, two_state_model
 
 
 def _pipeline(model, reward="up"):
@@ -340,3 +344,126 @@ def test_builtin_state_spaces_are_small(table):
     for name, model in md.builtin_models(table).items():
         g = explore(model, max_states=100_000)
         assert g.n_states < 1000, (name, g.n_states)
+
+
+# sha256 of (states, tangible, [(src, dst, value.hex(), label)]), recorded
+# from the marking-by-marking explorer.  The built-in models and their .san
+# files explore to the same graphs.
+GRAPH_SHA256 = {
+    "ru": "c01854b8e4ff528e5d37cec32424bc266fb6bbaffe8d149b0615d26685db2b90",
+    "du": "343c1a4fd7c193b68dbf5497525e70440407d70d292fe25be2e7dc899bba9f80",
+    "cu": "a6dc69f41e63f2ca5a48f9a95e1cb00eb7e20dadbe62ca15c21a86a43450978d",
+    "meh": "fd9b13c2113884a5e9b2ad213e26d89667a385f05424146d1d521e0b5152980f",
+    "cluster": "8958c4598f9f8daa087f19e52e16919bfb660dce3e7ce818afc86408d6e8c70f",
+}
+CLUSTER_15_13_SHA256 = "957de89753fe42a1754eb167b923b3dabed4e86607b3a8c2ae352d243a301d38"
+
+
+def _graph_sha256(g):
+    payload = (g.states, g.tangible,
+               [(e.src, e.dst, float(e.value).hex(), e.label) for e in g.edges])
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SHA256))
+def test_builtin_graphs_are_pinned(table, name):
+    assert _graph_sha256(explore(md.builtin_models(table)[name])) == GRAPH_SHA256[name]
+    text = (MODELS / f"{name}.san").read_text(encoding="utf-8")
+    assert _graph_sha256(explore(parse_model(text))) == GRAPH_SHA256[name]
+
+
+@pytest.mark.parametrize("block_min", [1, statespace._BLOCK_MIN, 10**9])
+def test_cluster_15_13_graph_is_pinned_on_either_path(table, monkeypatch, block_min):
+    # every level as a block, the default split, every level marking by marking
+    monkeypatch.setattr(statespace, "_BLOCK_MIN", block_min)
+    g = explore(md.build_cluster(table.with_overrides(M=15, K=13)))
+    assert _graph_sha256(g) == CLUSTER_15_13_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SHA256))
+def test_max_states_is_exact(table, name):
+    model = md.builtin_models(table)[name]
+    n = explore(model).n_states
+    assert explore(model, max_states=n).n_states == n
+    with pytest.raises(StateSpaceExceeded, match=f"max_states={n - 1}"):
+        explore(model, max_states=n - 1)
+
+
+@pytest.mark.parametrize("max_states", [0, -3])
+def test_non_positive_max_states_rejected(two_state, max_states):
+    with deadline(5), pytest.raises(ValueError, match="max_states must be at least 1"):
+        explore(two_state, max_states=max_states)
+
+
+def test_block_path_evaluates_only_where_the_scalar_step_does(monkeypatch):
+    # The timed predicate divides by zero at the vanishing markings (#V = 1),
+    # and the repair rate wherever #Down = 0: the scalar step evaluates
+    # neither there, so the block path must not either, or it would fall back.
+    # Every level past the first mixes vanishing and tangible markings, and
+    # tangible ones with and without a token in Down.
+    m = SanModel(
+        places=(Place("Up", 6), Place("V", 0), Place("Down", 0), Place("Worn", 0)),
+        parameters={},
+        activities=(
+            Activity("wear", P("1"), InputSpec(P("#Up >= 1 and #Worn = 0"), (take("Up"),)),
+                     (CaseSpec(1.0, (put("Worn"),)),)),
+            Activity("mend", P("2"), InputSpec(P("#Worn >= 1"), (take("Worn"),)),
+                     (CaseSpec(1.0, (put("Up"),)),)),
+            Activity("fail", P("0.5 * #Up"),
+                     InputSpec(P("#Up >= 1 and 1 / (1 - #V) > 0"), (take("Up"),)),
+                     (CaseSpec(0.5, (put("V"),)), CaseSpec(0.5, (put("Down"),)))),
+            Activity("split", None, InputSpec(P("#V >= 1"), (take("V"),)),
+                     (CaseSpec(0.25, (put("Down"),)), CaseSpec(0.0, (put("Up", 9),)),
+                      CaseSpec(0.75, (put("Up"),)))),
+            Activity("repair", P("1 / #Down"), InputSpec(P("#Down >= 1"), (take("Down"),)),
+                     (CaseSpec(1.0, (put("Up"),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("#Up >= 1")),),
+    )
+    fallbacks = []
+    block_level = statespace._block_level
+
+    def recorded(*args):
+        try:
+            return block_level(*args)
+        except Exception as err:
+            fallbacks.append(err)
+            raise
+
+    monkeypatch.setattr(statespace, "_block_level", recorded)
+    monkeypatch.setattr(statespace, "_BLOCK_MIN", 1)
+    g = explore(m)
+    assert fallbacks == []
+    assert g.n_vanishing > 0
+    monkeypatch.setattr(statespace, "_BLOCK_MIN", 10**9)
+    scalar = explore(m)
+    assert (g.states, g.tangible, g.edges) == (scalar.states, scalar.tangible, scalar.edges)
+
+
+def _countdown(rate="1", gate=(), case=()):
+    """A -> B one token at a time, from 3 tokens in A, with extra effects."""
+    return SanModel(
+        places=(Place("A", 3), Place("B", 0)),
+        parameters={},
+        activities=(Activity("t", P(rate), InputSpec(P("#A >= 1"), (take("A"),) + gate),
+                             (CaseSpec(1.0, (put("B"),) + case),)),),
+        rewards=(RewardPredicate("up", P("#A >= 1")),),
+    )
+
+
+@pytest.mark.parametrize("model, error", [
+    # the gate takes a token B lacks and the case gives it back
+    (_countdown(gate=(take("B"),), case=(put("B"),)), NegativeTokens),
+    # the rate is zero at A = 1, two levels down
+    (_countdown(rate="#A - 1"), EvaluationError),
+    (_countdown(case=(set_to("B", P("6 / (#A - 1)")),)), DivisionByZero),
+    (_countdown(case=(set_to("B", P("#A / 2")),)), ValueError),
+])
+def test_block_errors_replay_through_scalar_step(monkeypatch, model, error):
+    messages = []
+    for block_min in (1, 10**9):
+        monkeypatch.setattr(statespace, "_BLOCK_MIN", block_min)
+        with pytest.raises(error) as err:
+            explore(model)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
