@@ -33,7 +33,7 @@ from .errors import (DenseBlockTooLarge, EdgeavailError, NotConverged,
                      StateSpaceExceeded, VanishingLivelock, VanishingLoop)
 from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
 from .san import validate
-from .simulator import simulate
+from .simulator import MAX_BATCHES, simulate
 from .solver import steady_state_gth, steady_state_iterative, unavailability
 from .statespace import DEFAULT_MAX_STATES, eliminate_vanishing, explore, to_ctmc
 
@@ -165,8 +165,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.batches < 2:
-        raise UsageError("--batches must be >= 2")
+    if not 2 <= args.batches <= MAX_BATCHES:
+        raise UsageError(f"--batches must be in [2, {MAX_BATCHES}]")
     if args.seed is None:
         args.seed = int(os.environ.get("EDGEAVAIL_SEED", "12345"))
     model = _load_model(args.path, _parse_overrides(args.set))

@@ -40,6 +40,7 @@ from .statespace import DEFAULT_MAX_STATES
 
 LIVELOCK_LIMIT = 1_000_000
 DEFAULT_BATCHES = 20
+MAX_BATCHES = 100_000
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,13 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
 
 def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None = None,
              batches: int = DEFAULT_BATCHES, seed: int = 12345) -> SimEstimate:
-    """Batch-means estimate of the steady-state reward from one long trajectory."""
-    if batches < 2:
-        raise ValueError(f"batches must be >= 2, got {batches}")
+    """Batch-means estimate of the steady-state reward from one long trajectory.
+
+    ``batches`` must be in ``[2, MAX_BATCHES]``: each batch holds one float
+    and a sojourn walks every batch it spans, so the cap bounds both.
+    """
+    if not 2 <= batches <= MAX_BATCHES:
+        raise ValueError(f"batches must be in [2, {MAX_BATCHES}], got {batches}")
     cm, warmup = _check_common(model, reward, horizon, warmup)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     means = _batch_uptimes(cm, cm.rewards[reward], horizon, warmup, batches, rng, {})

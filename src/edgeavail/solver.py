@@ -21,11 +21,15 @@ no inverse, and touches only the nonzeros of these very sparse chains.
 That sparse stage is ``statespace.censor``, which also eliminates the
 vanishing markings before a chain reaches the solver.
 Once a set would censor only a small share of what is left, or at most a
-few hundred states remain, the remainder is copied into a dense block and
-eliminated state by state.  Chains at or below that size run the dense
-loop alone.  A remainder too large to hold densely raises
-``DenseBlockTooLarge`` before it is allocated; the iterative path solves
-such chains.
+few hundred states remain, the remainder is copied into a dense block.
+Chains at or below that size go to the dense block directly.  The block is
+eliminated by block GTH (O'Leary & Wu 1996): a panel of states is censored
+state by state, touching only the panel's rows and columns, and the rest of
+the block then takes the whole panel's update as matrix products, one
+column strip at a time.  That regroups the same nonnegative sums, so the
+kernel stays subtraction-free (O'Cinneide 1993).  A remainder too large to
+hold densely raises ``DenseBlockTooLarge`` before it is allocated; the
+iterative path solves such chains.
 """
 
 from __future__ import annotations
@@ -45,11 +49,19 @@ DEFAULT_MAX_ITER = 1_000_000
 # GTH elimination.  The sparse stages run while more than _DENSE_BLOCK states
 # are left, and stop early once an independent set would censor fewer than
 # _MIN_STAGE_SHARE of them: as fill grows, such a stage costs about as much as
-# the dense work it saves.  Both were tuned on cluster chains of 946 to 6,391
-# states.  A remainder above _DENSE_MAX states (200 MB dense) is refused.
+# the blocked dense work it saves.  Both were tuned, with the blocked kernel,
+# on cluster chains of 946 to 20,336 states; a share of 0.05 already leaves
+# (30,27) a remainder above _DENSE_MAX.  A remainder above _DENSE_MAX states
+# (200 MB dense) is refused.  The dense kernel works on panels of _PANEL
+# states, and applies each panel's update in column strips of the same
+# width: an (n x 32) @ (32 x 32) product and an n x 32 temporary.  OpenBLAS
+# runs such a product on one thread up to several hundred rows, so pool
+# workers solving the studies' ~270-state remainders do not compete for
+# cores; one unstripped (n x 32) @ (32 x n) product per panel did.
 _DENSE_BLOCK = 300
-_MIN_STAGE_SHARE = 0.015
+_MIN_STAGE_SHARE = 0.03
 _DENSE_MAX = 5_000
+_PANEL = 32
 
 
 @dataclass
@@ -72,21 +84,31 @@ def _cut_off(state) -> NotIrreducible:
 
 
 def _gth_dense(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """State-by-state GTH on a dense off-diagonal rate matrix, in place.
+    """Blocked GTH on a dense off-diagonal rate matrix, in place.
 
     Returns the unnormalized stationary weights with ``x[0] = 1``;
     ``labels`` maps rows to the chain's state numbers for error messages.
     """
     n = A.shape[0]
-    # Censor states n-1 .. 1 one at a time.  Only off-diagonal entries are
-    # ever read, so the rank-1 update can safely touch the diagonal.
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if not (s > 0.0 and np.isfinite(s)):
-            raise _cut_off(labels[k])
-        col = A[:k, k] / s
-        A[:k, :k] += np.outer(col, A[k, :k])
-        A[:k, k] = col
+    # Censor states n-1 .. 1, a panel [lo, k) at a time.  Each panel state j
+    # updates only the panel rows and the panel columns above the panel; the
+    # rest, A[:lo, :lo], takes the panel's rank-b update afterwards, one
+    # column strip at a time.  Only off-diagonal entries are ever read, so the
+    # updates can safely touch the diagonal.
+    k = n
+    while k > 1:
+        lo = max(k - _PANEL, 1)
+        for j in range(k - 1, lo - 1, -1):
+            s = A[j, :j].sum()
+            if not (s > 0.0 and np.isfinite(s)):
+                raise _cut_off(labels[j])
+            A[:j, j] /= s
+            A[lo:j, :j] += np.outer(A[lo:j, j], A[j, :j])
+            A[:lo, lo:j] += np.outer(A[:lo, j], A[j, lo:j])
+        for c in range(0, lo, _PANEL):
+            e = min(c + _PANEL, lo)
+            A[:lo, c:e] += A[:lo, lo:k] @ A[lo:k, c:e]
+        k = lo
     # Back substitution: expected sojourn weight relative to state 0.
     x = np.empty(n)
     x[0] = 1.0

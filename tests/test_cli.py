@@ -139,6 +139,14 @@ def test_simulate_single_batch_exits_64(capsys):
     assert code == 64 and "usage error" in err
 
 
+def test_simulate_too_many_batches_exits_64(capsys):
+    with deadline(10):
+        code, out, err = run(capsys, "simulate", str(MODELS / "du.san"), "--reward",
+                             "up", "--batches", "1000000000", "--horizon", "10")
+    assert code == 64 and not out
+    assert "--batches must be in [2, 100000]" in err
+
+
 def test_simulate_infinite_horizon_exits_1(capsys):
     with deadline(10):
         code, out, err = run(capsys, "simulate", str(MODELS / "du.san"), "--reward",

@@ -74,6 +74,13 @@ def test_batches_must_be_at_least_two(two_state):
         simulate(two_state, "up", horizon=1e4, batches=1, seed=1)
 
 
+@pytest.mark.parametrize("batches", [simulator.MAX_BATCHES + 1, 1_000_000_000])
+def test_batches_above_the_cap_fail_fast(two_state, batches):
+    # rejected before the per-batch array is allocated or any batch is walked
+    with deadline(10), pytest.raises(ValueError, match="batches must be in"):
+        simulate(two_state, "up", horizon=10.0, batches=batches, seed=1)
+
+
 def test_warmup_must_precede_horizon(two_state):
     with pytest.raises(ValueError):
         simulate(two_state, "up", horizon=1e3, warmup=1e3, seed=1)

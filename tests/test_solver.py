@@ -189,6 +189,91 @@ def test_sparse_gth_matches_dense_kernel_and_repeats(table, monkeypatch):
     assert np.max(np.abs(first - dense) / dense) < 1e-12
 
 
+def _gth_dense_unblocked(A, labels):
+    """The dense kernel as one rank-1 update over the whole block per state."""
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if not (s > 0.0 and np.isfinite(s)):
+            raise solver._cut_off(labels[k])
+        col = A[:k, k] / s
+        A[:k, :k] += np.outer(col, A[k, :k])
+        A[:k, k] = col
+    x = np.empty(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 65, 300])
+def test_blocked_gth_matches_unblocked_reference(n):
+    # one panel, the panel edges, and a ragged last panel; rates 1e-6 .. 1e2
+    rng = np.random.default_rng(n)
+    A = np.where(rng.random((n, n)) < 0.1, 10.0 ** rng.uniform(-6, 2, (n, n)), 0.0)
+    A[np.arange(n), (np.arange(n) + 1) % n] = 10.0 ** rng.uniform(-6, 2, n)
+    np.fill_diagonal(A, 0.0)
+    labels = np.arange(n)
+    got = solver._gth_dense(A.copy(), labels)
+    expected = _gth_dense_unblocked(A.copy(), labels)
+    got, expected = got / got.sum(), expected / expected.sum()
+    assert np.max(np.abs(got - expected) / expected) < 1e-12
+
+
+def _u_both_kernels(c, monkeypatch):
+    blocked = unavailability(c, steady_state_gth(c))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_gth_dense", _gth_dense_unblocked)
+        reference = unavailability(c, steady_state_gth(c))
+    return blocked, reference
+
+
+def test_blocked_gth_matches_reference_on_builtin_models(table, monkeypatch):
+    for name, c in _all_chains(table).items():
+        blocked, reference = _u_both_kernels(c, monkeypatch)
+        assert abs(blocked - reference) <= 1e-12 * reference, name
+
+
+@pytest.mark.parametrize("M, K", [(10, 9), (12, 11), (15, 13), (20, 18)])
+def test_blocked_gth_matches_reference_on_cluster_rungs(table, monkeypatch, M, K):
+    c = _chain(md.build_cluster(table.with_overrides(M=M, K=K)))
+    with deadline(60):
+        blocked, reference = _u_both_kernels(c, monkeypatch)
+    assert abs(blocked - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("cut", [36, 50, 67])
+def test_gth_cut_off_inside_a_panel_names_the_state(cut):
+    # states cut .. 99 form a closed ring in scrambled order, 0 .. cut-1 another;
+    # the dense kernel alone (100 states) first finds state `cut` cut off, at a
+    # panel's top (67), in its middle (50) or at its bottom (36)
+    n = 100
+    rng = np.random.default_rng(cut)
+    low, high = np.arange(cut), cut + rng.permutation(n - cut)
+    src = np.concatenate([low, high])
+    dst = np.concatenate([np.roll(low, -1), np.roll(high, -1)])
+    with pytest.raises(NotIrreducible, match=f"^state {cut} cannot reach"):
+        steady_state_gth(_hand_chain(src, dst, n))
+
+
+class _Remainder(Exception):
+    pass
+
+
+def test_stage_rule_keeps_cluster_30_27_remainder_dense(table, monkeypatch):
+    # a retune of the sparse stages must not turn this exact solve into
+    # DenseBlockTooLarge; the dense kernel itself is skipped
+    def remainder(A, labels):
+        raise _Remainder(A.shape[0])
+
+    monkeypatch.setattr(solver, "_gth_dense", remainder)
+    with deadline(30):
+        c = _chain(md.build_cluster(table.with_overrides(M=30, K=27)))
+        with pytest.raises(_Remainder) as got:
+            steady_state_gth(c)
+    assert got.value.args[0] <= solver._DENSE_MAX
+
+
 def test_gth_refuses_oversized_dense_block(table, monkeypatch):
     monkeypatch.setattr(solver, "_DENSE_MAX", 10)
     with pytest.raises(DenseBlockTooLarge, match="--method iter") as err:
