@@ -12,7 +12,7 @@ from .errors import (DenseBlockTooLarge, DivisionByZero, EdgeavailError,
                      NotIrreducible, ParseError, SemanticError,
                      StateSpaceExceeded, UnknownIdentifier, UnknownReward,
                      VanishingLivelock, VanishingLoop)
-from .expr import (Expr, eval_expr, identifiers, parse_expression, to_text)
+from .expr import Expr, identifiers, parse_expression, to_text
 from .san import (Activity, CaseSpec, Effect, InputSpec, Marking, Place,
                   RewardPredicate, SanModel, enabled_activities, fire, put,
                   set_to, take, validate)

@@ -50,7 +50,7 @@ def _fold(e: ex.Expr, params: dict, what: str) -> float:
     if missing:
         raise SemanticError(f"{what} references undeclared parameter '{missing[0]}' "
                             "(parameters fold in declaration order)")
-    return ex.eval_expr(e, None, params)
+    return ex.compile_expr(e, {}, params)(())
 
 
 def parse_model(text: str) -> SanModel:

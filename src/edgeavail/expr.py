@@ -394,80 +394,13 @@ def _print(e, min_prec):
 
 # ── Evaluation ───────────────────────────────────────────────────────────────
 
-def eval_expr(e: Expr, marking: Mapping[str, float] | None, params: Mapping[str, float]) -> float:
-    """Evaluate ``e`` against a marking and a parameter set.
-
-    Booleans come back as 0.0/1.0.  Division by zero raises rather than
-    producing infinity.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Param):
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise UnknownIdentifier(e.name, "parameter") from None
-    if isinstance(e, TokenCount):
-        if marking is None:
-            raise UnknownIdentifier(e.place, "place (no marking supplied)")
-        try:
-            return float(marking[e.place])
-        except KeyError:
-            raise UnknownIdentifier(e.place, "place") from None
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, marking, params)
-    if isinstance(e, Not):
-        return 0.0 if eval_expr(e.operand, marking, params) != 0.0 else 1.0
-    if isinstance(e, Cond):
-        taken = e.if_true if eval_expr(e.test, marking, params) != 0.0 else e.if_false
-        return eval_expr(taken, marking, params)
-    if isinstance(e, Call):
-        fn = min if e.func == "min" else max
-        return fn(eval_expr(a, marking, params) for a in e.args)
-    if isinstance(e, BinOp):
-        op = e.op
-        if op == "and":
-            if eval_expr(e.left, marking, params) == 0.0:
-                return 0.0
-            return 1.0 if eval_expr(e.right, marking, params) != 0.0 else 0.0
-        if op == "or":
-            if eval_expr(e.left, marking, params) != 0.0:
-                return 1.0
-            return 1.0 if eval_expr(e.right, marking, params) != 0.0 else 0.0
-        a = eval_expr(e.left, marking, params)
-        b = eval_expr(e.right, marking, params)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DivisionByZero(to_text(e))
-            return a / b
-        if op == "<":
-            return 1.0 if a < b else 0.0
-        if op == "<=":
-            return 1.0 if a <= b else 0.0
-        if op == ">":
-            return 1.0 if a > b else 0.0
-        if op == ">=":
-            return 1.0 if a >= b else 0.0
-        if op == "=":
-            return 1.0 if a == b else 0.0
-        if op == "!=":
-            return 1.0 if a != b else 0.0
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def compile_expr(e: Expr, place_index: Mapping[str, int],
                  params: Mapping[str, float]) -> Callable[[Sequence[float]], float]:
     """Compile ``e`` into a closure over a marking vector (hot path).
 
     Parameters are resolved now; the returned function takes the marking as an
-    indexable sequence laid out by ``place_index``.  Agrees exactly with
-    :func:`eval_expr`.
+    indexable sequence laid out by ``place_index``.  Booleans come back as
+    0.0/1.0.  Division by zero raises rather than producing infinity.
     """
     if isinstance(e, Num):
         v = e.value

@@ -5,15 +5,21 @@ assumption behind solving each element separately and combining the results
 here.  Gate semantics on unavailabilities:
 
 * ``And``  — fails only if every child fails (redundancy): product of U.
-* ``Or``   — fails if any child fails (series): 1 - product of (1 - U).
+* ``Or``   — fails if any child fails (series): 1 - product of (1 - U),
+  computed as ``-expm1(sum of log1p(-U))`` so that no digit is lost to the
+  subtraction when every U is small (a child with U = 1 gives exactly 1).
 * ``KofN`` — needs k of n children working: binomial-style tail over the
   children's failure probabilities (children need not be identical).
 
 ``u_ran``/``u_sys`` are the closed forms for the modeled deployment, and
 ``build_5gmec_ft`` is the equivalent explicit tree:
 
-    U_RAN = [1 - (1 - (1 - (1 - U_RU^N_R)(1 - U_DU))^N_D)(1 - U_CU)]^N_C
-    U_Sys = 1 - (1 - U_RAN)(1 - U_5GC)(1 - U_MANO)(1 - U_MEH^N_H)
+    U_RAN = Or(U_CU, Or(U_DU, U_RU^N_R)^N_D)^N_C
+    U_Sys = Or(U_RAN, U_5GC, U_MANO, U_MEH^N_H)
+
+where ``Or(u1, u2, ...)`` is the series combination above.  Both the closed
+forms and the ``Or`` gate use the same kernel, so system U keeps the digits
+the element solves kept even where it is about 1e-12.
 
 A reading of the tree: a radio group fails when all N_R radio units fail; a
 distributed-unit branch fails if its unit or its radio group fails; a gNodeB
@@ -31,6 +37,7 @@ Trees can also be read from a small text format (see ``parse_ft``)::
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -94,6 +101,16 @@ class RedundancyConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _any_fails(us) -> float:
+    """1 - prod(1 - u) over independent failure probabilities, subtraction-free."""
+    s = 0.0
+    for u in us:
+        if u >= 1.0:
+            return 1.0
+        s += math.log1p(-u)
+    return 0.0 - math.expm1(s)  # keeps an all-zero input at +0.0
+
+
 def eval_ft(node: FtNode) -> float:
     """Top-event unavailability, assuming independent children."""
     if isinstance(node, BasicEvent):
@@ -104,10 +121,7 @@ def eval_ft(node: FtNode) -> float:
             u *= eval_ft(c)
         return u
     if isinstance(node, Or):
-        a = 1.0
-        for c in node.children:
-            a *= 1.0 - eval_ft(c)
-        return 1.0 - a
+        return _any_fails(eval_ft(c) for c in node.children)
     if isinstance(node, KofN):
         # P(fewer than k children work); dp[j] = P(exactly j working so far).
         us = [eval_ft(c) for c in node.children]
@@ -123,16 +137,13 @@ def eval_ft(node: FtNode) -> float:
 
 def u_ran(U_RU: float, U_DU: float, U_CU: float, cfg: RedundancyConfig) -> float:
     """Closed-form access-network unavailability."""
-    inner = (1.0 - U_RU ** cfg.N_R) * (1.0 - U_DU)
-    branch = (1.0 - inner) ** cfg.N_D
-    gnodeb_ok = (1.0 - branch) * (1.0 - U_CU)
-    return (1.0 - gnodeb_ok) ** cfg.N_C
+    branch = _any_fails((U_DU, U_RU ** cfg.N_R))
+    return _any_fails((U_CU, branch ** cfg.N_D)) ** cfg.N_C
 
 
 def u_sys(U_RAN: float, U_5GC: float, U_MANO: float, U_MEH: float, N_H: int) -> float:
     """Closed-form system unavailability from the four top-level branches."""
-    return 1.0 - ((1.0 - U_RAN) * (1.0 - U_5GC) * (1.0 - U_MANO)
-                  * (1.0 - U_MEH ** N_H))
+    return _any_fails((U_RAN, U_5GC, U_MANO, U_MEH ** N_H))
 
 
 def system_unavailability(element_us: dict, cfg: RedundancyConfig) -> float:

@@ -182,16 +182,12 @@ class ElementKind(enum.Enum):
 
 # ── small build helpers ──────────────────────────────────────────────────────
 
-def _pred(text: str):
-    return parse_expression(text)
-
-
 def _timed(name, rate_param, src, dst):
     """Fail/repair style move: one token src -> dst at a constant-parameter rate."""
     return Activity(
         name=name,
         rate=parse_expression(rate_param),
-        input=InputSpec(_pred(f"#{src} >= 1"), (take(src),)),
+        input=InputSpec(parse_expression(f"#{src} >= 1"), (take(src),)),
         cases=(CaseSpec(1.0, (put(dst),)),),
     )
 
@@ -201,7 +197,7 @@ def _covered(name, rate_param, src, covered_dst, uncovered_dst, coverage):
     return Activity(
         name=name,
         rate=parse_expression(rate_param) if rate_param is not None else None,
-        input=InputSpec(_pred(f"#{src} >= 1"), (take(src),)),
+        input=InputSpec(parse_expression(f"#{src} >= 1"), (take(src),)),
         cases=(CaseSpec(coverage, (put(covered_dst),)),
                CaseSpec(1.0 - coverage, (put(uncovered_dst),))),
     )
@@ -231,7 +227,7 @@ def build_ru(t: IntensityTable) -> SanModel:
         _timed("FW_F", "lambda_FW", "RU_OK", "FW_failed"),
         _timed("FW_R", "mu_FW", "FW_failed", "RU_OK"),
     )
-    rewards = (RewardPredicate(UP, _pred("#RU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, parse_expression("#RU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Radio unit: hardware, antenna, firmware"))
 
@@ -257,7 +253,7 @@ def build_du(t: IntensityTable) -> SanModel:
         _timed("SW_R", "mu_SW", "SW_Urep", "DU_OK"),
         _timed("SW_res", "mu_SW_r", "SW_Ures", "DU_OK"),
     )
-    rewards = (RewardPredicate(UP, _pred("#DU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, parse_expression("#DU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Distributed unit: HW, OS, SW with restart coverage"))
 
@@ -276,7 +272,7 @@ def build_cu(t: IntensityTable) -> SanModel:
         name="CHW_rec",
         rate=parse_expression("mu_HW_fo"),
         # Failover needs both a failed active unit and a ready standby.
-        input=InputSpec(_pred("#CHW1_failed >= 1 and #CHW2 >= 1"),
+        input=InputSpec(parse_expression("#CHW1_failed >= 1 and #CHW2 >= 1"),
                         (take("CHW1_failed"), take("CHW2"))),
         cases=(
             # Covered: broken unit to repair, standby takes over.
@@ -300,7 +296,7 @@ def build_cu(t: IntensityTable) -> SanModel:
         # topology: repaired hardware always returns to standby.
         _timed("CHW_R", "mu_HW", "CHW_rep", "CHW2"),
     )
-    rewards = (RewardPredicate(UP, _pred("#CU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, parse_expression("#CU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Central unit: 1+1 standby HW plus OS/SW stack"))
 
@@ -346,7 +342,7 @@ def build_meh(t: IntensityTable) -> SanModel:
         _timed("APP_R", "mu_APP", "APP_Urep", "MEH_OK"),
         _timed("APP_VMres", "mu_APP_r", "APP_Ures", "MEH_OK"),
     )
-    rewards = (RewardPredicate(UP, _pred("#MEH_OK >= 1")),)
+    rewards = (RewardPredicate(UP, parse_expression("#MEH_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Edge host: hypervisor, platform/application VMs and software"))
 
@@ -383,7 +379,7 @@ def build_cluster(t: IntensityTable) -> SanModel:
         return Activity(
             name=name,
             rate=parse_expression(rate),
-            input=InputSpec(_pred(f"#Working >= 1 and {no_crash}"), (take("Working"),)),
+            input=InputSpec(parse_expression(f"#Working >= 1 and {no_crash}"), (take("Working"),)),
             cases=(CaseSpec(coverage, (put(covered_dst),)),
                    CaseSpec(1.0 - coverage, (put(uncovered_dst),))),
         )
@@ -393,7 +389,7 @@ def build_cluster(t: IntensityTable) -> SanModel:
         return Activity(
             name=name,
             rate=parse_expression(rate),
-            input=InputSpec(_pred(f"#{src} >= 1 and {no_crash}"), (take(src),)),
+            input=InputSpec(parse_expression(f"#{src} >= 1 and {no_crash}"), (take(src),)),
             cases=(CaseSpec(1.0, (put(dst),)),),
         )
 
@@ -404,7 +400,7 @@ def build_cluster(t: IntensityTable) -> SanModel:
         return Activity(
             name=name,
             rate=parse_expression(rate_param),
-            input=InputSpec(_pred(f"#{down_place} >= 1"), (take(down_place),)),
+            input=InputSpec(parse_expression(f"#{down_place} >= 1"), (take(down_place),)),
             cases=(CaseSpec(1.0, effects),),
         )
 
@@ -425,7 +421,7 @@ def build_cluster(t: IntensityTable) -> SanModel:
         crash_recovery("UOS_R", "mu_OS_r", "OS_Down"),
         crash_recovery("USW_R", "mu_SW_r", "SW_Down"),
     )
-    rewards = (RewardPredicate(UP, _pred(f"#Working >= K and {no_crash}")),)
+    rewards = (RewardPredicate(UP, parse_expression(f"#Working >= K and {no_crash}")),)
     return _finish(SanModel(
         places, params, acts, rewards,
         description=f"Control cluster: {M} instances, {K} required"))

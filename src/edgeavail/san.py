@@ -85,9 +85,6 @@ class SanModel:
     rewards: tuple
     description: str = ""
 
-    def place_names(self):
-        return [p.name for p in self.places]
-
     def initial_marking(self) -> Marking:
         return {p.name: p.initial_tokens for p in self.places}
 
@@ -95,12 +92,6 @@ class SanModel:
         for a in self.activities:
             if a.name == name:
                 return a
-        raise KeyError(name)
-
-    def reward(self, name: str) -> RewardPredicate:
-        for r in self.rewards:
-            if r.name == name:
-                return r
         raise KeyError(name)
 
 

@@ -188,7 +188,16 @@ def test_ft_paper_zeros(capsys):
                        *("--u-ru 0 --u-du 0 --u-cu 0 --u-meh 0 "
                          "--u-5gc 0 --u-mano 0".split()))
     assert code == 0
-    assert float(kv(out)["u_sys"]) == 0.0
+    assert kv(out)["u_sys"] == "0.0"
+
+
+def test_ft_paper_keeps_digits_at_tiny_unavailabilities(capsys):
+    # six independent U = 1e-12 in series: 1 - (1 - u)^6 = 6u - 15u^2 + ...
+    code, out, _ = run(capsys, "ft", "--paper",
+                       *("--u-ru 1e-12 --u-du 1e-12 --u-cu 1e-12 --u-meh 1e-12 "
+                         "--u-5gc 1e-12 --u-mano 1e-12".split()))
+    assert code == 0
+    assert float(kv(out)["u_sys"]) == pytest.approx(6e-12 - 1.5e-23, rel=1e-14, abs=0)
 
 
 def test_ft_paper_halves(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from edgeavail import models as md
 from edgeavail.document import parse_model, serialize_model
-from edgeavail.errors import ParseError, SemanticError
+from edgeavail.cli import main
+from edgeavail.errors import DivisionByZero, ParseError, SemanticError
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
@@ -65,6 +66,32 @@ def test_forward_parameter_reference_rejected():
             "place P = 1\nreward up = \"#P >= 1\"\n")
     with pytest.raises(SemanticError):
         parse_model(text)
+
+
+def _with_params(*lines):
+    return "san-format 1\n" + "".join(f"{line}\n" for line in lines) + \
+        'place P = 1\nreward up = "#P >= 1"\n'
+
+
+def test_folding_division_by_zero_names_the_expression():
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
+        parse_model(_with_params("param x = 1 / 0"))
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / a$"):
+        parse_model(_with_params("param a = 0", "param x = 1 / a"))
+
+
+def test_folding_is_lazy_in_the_untaken_branch():
+    m = parse_model(_with_params("param x = if 0 then 1 / 0 else 2"))
+    assert m.parameters["x"] == 2.0
+
+
+def test_solve_reports_a_folding_error_on_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.san"
+    path.write_text(_with_params("param a = 0", "param x = 1 / a"))
+    code = main(["solve", str(path), "--reward", "up"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.strip().splitlines() == ["error: division by zero in 1 / a"]
 
 
 def test_case_probabilities_fold_over_parameters():

@@ -1,16 +1,95 @@
-"""Expression language: parsing, precedence, evaluation, exact round-trips."""
+"""Expression language: parsing, precedence, evaluation, exact round-trips.
+
+``eval_expr`` below is a plain tree walk over the AST.  It is the reference
+that the package's only evaluator, ``compile_expr``, is checked against.
+"""
 
 import random
+from typing import Mapping
 
 import pytest
 
 from edgeavail import expr as ex
 from edgeavail.errors import DivisionByZero, ParseError, UnknownIdentifier
-from edgeavail.expr import eval_expr, parse_expression, to_text
+from edgeavail.expr import (BinOp, Call, Cond, Expr, Neg, Not, Num, Param,
+                            TokenCount, parse_expression, to_text)
+
+
+def eval_expr(e: Expr, marking: Mapping[str, float] | None, params: Mapping[str, float]) -> float:
+    """Evaluate ``e`` against a marking and a parameter set.
+
+    Booleans come back as 0.0/1.0.  Division by zero raises rather than
+    producing infinity.
+    """
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Param):
+        try:
+            return float(params[e.name])
+        except KeyError:
+            raise UnknownIdentifier(e.name, "parameter") from None
+    if isinstance(e, TokenCount):
+        if marking is None:
+            raise UnknownIdentifier(e.place, "place (no marking supplied)")
+        try:
+            return float(marking[e.place])
+        except KeyError:
+            raise UnknownIdentifier(e.place, "place") from None
+    if isinstance(e, Neg):
+        return -eval_expr(e.operand, marking, params)
+    if isinstance(e, Not):
+        return 0.0 if eval_expr(e.operand, marking, params) != 0.0 else 1.0
+    if isinstance(e, Cond):
+        taken = e.if_true if eval_expr(e.test, marking, params) != 0.0 else e.if_false
+        return eval_expr(taken, marking, params)
+    if isinstance(e, Call):
+        fn = min if e.func == "min" else max
+        return fn(eval_expr(a, marking, params) for a in e.args)
+    if isinstance(e, BinOp):
+        op = e.op
+        if op == "and":
+            if eval_expr(e.left, marking, params) == 0.0:
+                return 0.0
+            return 1.0 if eval_expr(e.right, marking, params) != 0.0 else 0.0
+        if op == "or":
+            if eval_expr(e.left, marking, params) != 0.0:
+                return 1.0
+            return 1.0 if eval_expr(e.right, marking, params) != 0.0 else 0.0
+        a = eval_expr(e.left, marking, params)
+        b = eval_expr(e.right, marking, params)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise DivisionByZero(to_text(e))
+            return a / b
+        if op == "<":
+            return 1.0 if a < b else 0.0
+        if op == "<=":
+            return 1.0 if a <= b else 0.0
+        if op == ">":
+            return 1.0 if a > b else 0.0
+        if op == ">=":
+            return 1.0 if a >= b else 0.0
+        if op == "=":
+            return 1.0 if a == b else 0.0
+        if op == "!=":
+            return 1.0 if a != b else 0.0
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def ev(text, marking=None, params=None):
-    return eval_expr(parse_expression(text), marking or {}, params or {})
+    """Evaluate with ``compile_expr``, checked against the tree walk."""
+    e = parse_expression(text)
+    marking, params = marking or {}, params or {}
+    place_index = {name: i for i, name in enumerate(marking)}
+    value = ex.compile_expr(e, place_index, params)(tuple(marking.values()))
+    assert value == eval_expr(e, marking, params)
+    return value
 
 
 def test_arithmetic_basics():

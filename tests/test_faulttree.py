@@ -1,7 +1,9 @@
 """Fault-tree algebra: gates, closed forms, structural equivalence."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,3 +133,69 @@ def test_parse_ft_round_trip():
 def test_parse_ft_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_ft(bad)
+
+
+# ── accuracy against exact rational arithmetic ──────────────────────────────
+
+ELEMENTS = ("ru", "du", "cu", "meh", "5gc", "mano")
+
+
+def _exact_or(us):
+    ok = Fraction(1)
+    for u in us:
+        ok *= 1 - Fraction(u)
+    return 1 - ok
+
+
+def _exact_ran(us, cfg):
+    branch = _exact_or((us["du"], Fraction(us["ru"]) ** cfg.N_R))
+    return _exact_or((us["cu"], branch ** cfg.N_D)) ** cfg.N_C
+
+
+def _exact_sys(us, ran, cfg):
+    return _exact_or((ran, us["5gc"], us["mano"], Fraction(us["meh"]) ** cfg.N_H))
+
+
+def _rel_err(value, exact):
+    return float(abs(Fraction(value) - exact) / exact)
+
+
+def test_composition_matches_exact_arithmetic_at_small_u():
+    # 1 - prod(1 - u) would lose about log10(1/U) digits here
+    rng = random.Random(2026)
+    worst = dict.fromkeys(("u_ran", "u_sys", "system", "tree", "or"), 0.0)
+    for _ in range(2000):
+        us = {k: 10.0 ** rng.uniform(-13.0, -3.0) for k in ELEMENTS}
+        cfg = RedundancyConfig(*(rng.randint(1, 4) for _ in range(4)))
+        ran = u_ran(us["ru"], us["du"], us["cu"], cfg)
+        exact_ran = _exact_ran(us, cfg)
+        exact_sys = _exact_sys(us, exact_ran, cfg)
+        got = {
+            "u_ran": _rel_err(ran, exact_ran),
+            "u_sys": _rel_err(u_sys(ran, us["5gc"], us["mano"], us["meh"], cfg.N_H),
+                              _exact_sys(us, Fraction(ran), cfg)),
+            "system": _rel_err(system_unavailability(us, cfg), exact_sys),
+            "tree": _rel_err(eval_ft(build_5gmec_ft(cfg, us)), exact_sys),
+            "or": _rel_err(eval_ft(Or(tuple(B(us[k], k) for k in ELEMENTS))),
+                           _exact_or(us.values())),
+        }
+        worst = {k: max(worst[k], got[k]) for k in worst}
+    assert max(worst.values()) < 1e-14, worst
+
+
+def test_a_certain_failure_gives_exactly_one():
+    cfg = RedundancyConfig(2, 3, 2, 2)
+    assert u_ran(0.1, 0.2, 1.0, cfg) == 1.0
+    assert u_ran(1.0, 1.0, 0.0, RedundancyConfig(1, 1, 1, 1)) == 1.0
+    assert u_sys(1.0, 1e-5, 1e-5, 1e-5, 2) == 1.0
+    assert u_sys(1e-5, 1e-5, 1.0, 1e-5, 2) == 1.0
+    assert eval_ft(Or((B(1e-9), B(1.0), B(0.5)))) == 1.0
+
+
+def test_all_zero_inputs_give_positive_zero():
+    cfg = RedundancyConfig(2, 2, 2, 2)
+    zeros = dict.fromkeys(ELEMENTS, 0.0)
+    for value in (u_ran(0.0, 0.0, 0.0, cfg), u_sys(0.0, 0.0, 0.0, 0.0, 1),
+                  system_unavailability(zeros, cfg), eval_ft(build_5gmec_ft(cfg, zeros)),
+                  eval_ft(Or((B(0.0), B(0.0))))):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -1,0 +1,31 @@
+"""The names the benchmark's tracer patches still exist and are restored.
+
+``perfbench/tracing.py`` wraps the fault-tree composition and the element
+cache where ``edgeavail.experiments`` binds them.  A table3 pass run under
+the tracer must count every composition call and every cache miss, and
+leave the original names in place afterwards.
+"""
+
+import edgeavail
+from edgeavail import experiments
+from edgeavail.models import default_table
+
+from conftest import REPO
+
+PATCHED = ("u_ran", "u_sys", "element_unavailability")
+
+
+def test_table3_under_the_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import tracing
+
+    before = {name: getattr(experiments, name) for name in PATCHED}
+    edgeavail.element_unavailability.cache_clear()
+    tracer = tracing.Tracer()
+    with tracing.installed(edgeavail, tracer):
+        rows = edgeavail.run_table3(default_table(), jobs=1).rows
+    metrics = tracing.layer_metrics(tracer, 1.0, 1.0)
+    assert len(rows) == 36
+    assert metrics["faulttree.calls"] == 72      # u_ran and u_sys per row
+    assert metrics["models.element_misses"] == 5  # ru, du, cu, meh, one cluster
+    assert {name: getattr(experiments, name) for name in PATCHED} == before
