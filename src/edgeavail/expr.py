@@ -446,10 +446,11 @@ def compile_expr(e: Expr, place_index: Mapping[str, int],
             where = to_text(e)
 
             def div(m):
+                n = a(m)
                 d = b(m)
                 if d == 0.0:
                     raise DivisionByZero(where)
-                return a(m) / d
+                return n / d
 
             return div
         if op == "<":

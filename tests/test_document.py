@@ -76,6 +76,8 @@ def _with_params(*lines):
 def test_folding_division_by_zero_names_the_expression():
     with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
         parse_model(_with_params("param x = 1 / 0"))
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
+        parse_model(_with_params("param x = (1 / 0) / 0"))
     with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / a$"):
         parse_model(_with_params("param a = 0", "param x = 1 / a"))
 

@@ -142,8 +142,8 @@ def test_cluster_software_rate_expression():
     e = parse_expression(text)
     assert isinstance(e, ex.Cond)
     params = {"K": 9.0, "alpha_S": 1.0, "lambda_SW": 1 / 730, "M": 10.0}
-    assert eval_expr(e, {"Working": 10}, params) == pytest.approx(1 / 730, abs=0, rel=1e-15)
-    assert eval_expr(e, {"Working": 5}, params) == pytest.approx(10 / 730, rel=1e-15)
+    assert ev(text, {"Working": 10}, params) == pytest.approx(1 / 730, abs=0, rel=1e-15)
+    assert ev(text, {"Working": 5}, params) == pytest.approx(10 / 730, rel=1e-15)
 
 
 def test_division_by_zero_is_an_error():
@@ -199,9 +199,9 @@ def _random_expr(rng, depth):
     if kind == 0:
         op = rng.choice(["+", "-", "*", "and", "or", "<", "<=", ">", ">=", "=", "!="])
         return ex.BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if kind == 1:  # division by a safely nonzero literal
+    if kind == 1:  # division by a literal, now and then zero
         return ex.BinOp("/", _random_expr(rng, depth - 1),
-                        ex.Num(float(rng.randint(1, 9))))
+                        ex.Num(float(rng.randint(0, 9))))
     if kind == 2:
         inner = _random_expr(rng, depth - 1)
         if isinstance(inner, ex.Num):  # parser folds -literal; mirror that
@@ -225,19 +225,38 @@ def test_print_parse_round_trip_is_identity():
         text = to_text(e)
         back = parse_expression(text)
         assert back == e, f"round-trip changed {text!r}"
-        assert eval_expr(back, marking, params) == eval_expr(e, marking, params)
+        assert _outcome(eval_expr, back, marking, params) == \
+            _outcome(eval_expr, e, marking, params)
+
+
+def _outcome(evaluate, *args):
+    """The value, or the message of the division by zero that was raised."""
+    try:
+        return evaluate(*args)
+    except DivisionByZero as exc:
+        return str(exc)
 
 
 def test_compiled_evaluation_agrees_with_tree_walk():
+    # a division by zero must raise in both, naming the same expression
     rng = random.Random(11)
     params = {"a": 0.5, "b": 3.0, "c": -1.5}
     place_index = {"P": 0, "Q": 1}
+    raised = 0
     for _ in range(300):
         e = _random_expr(rng, 4)
         fn = ex.compile_expr(e, place_index, params)
         for vec in [(0, 0), (1, 4), (7, 2)]:
             marking = {"P": vec[0], "Q": vec[1]}
-            assert fn(vec) == eval_expr(e, marking, params)
+            got = _outcome(fn, vec)
+            assert got == _outcome(eval_expr, e, marking, params)
+            raised += isinstance(got, str)
+    assert raised > 0
+
+
+def test_nested_division_by_zero_names_the_inner_division_first():
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
+        ev("(1 / 0) / 0")
 
 
 def test_keywords_are_not_identifiers():
