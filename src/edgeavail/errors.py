@@ -41,6 +41,13 @@ class DivisionByZero(EvaluationError):
         super().__init__(f"division by zero{suffix}")
 
 
+class NonFiniteExitRate(EvaluationError):
+    """The enabled rates of a marking sum past the largest float."""
+
+    def __init__(self, rate, marking):
+        super().__init__(f"exit rate {rate!r} in marking {marking} is not finite")
+
+
 class NotEnabled(EdgeavailError):
     def __init__(self, activity):
         self.activity = activity

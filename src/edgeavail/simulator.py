@@ -12,13 +12,19 @@ and attributed proportionally.  Instantaneous activities fire immediately
 (equal weights if several are enabled at once); more than a million
 consecutive zero-time firings is reported as a livelock.
 
-A trajectory revisits a few dozen markings many thousands of times, so each
-``simulate`` or ``simulate_replicated`` call memoizes, per visited marking,
-its ``moves``, their total rate and the reward flag (the reward is evaluated
-at tangible markings only), for up to ``DEFAULT_MAX_STATES`` markings; the
-rest are stepped afresh on every visit.  The random draws and the
-``fire_vec`` call per firing are the same as without the memo, so estimates
-are unchanged, and a bad rate still raises on the marking's first visit.
+A trajectory revisits a few dozen markings many thousands of times, so it
+walks a chain of interned markings.  The first visit to a marking builds its
+record: ``moves``, the cumulative timed rates and their total (which must be
+finite, else ``EvaluationError``), and the reward flag (evaluated at tangible
+markings only).  The first firing of each ``(activity, case)`` from it calls
+``fire_vec`` and links the record to its successor's; later firings pick the
+activity by bisecting the cumulative rates and follow the link.  One memo per
+``simulate`` or ``simulate_replicated`` call keeps up to
+``DEFAULT_MAX_STATES`` records and links only kept records to each other;
+any other marking gets a fresh record on every visit and a ``fire_vec`` call
+on every firing from it.  The random draws are the ones a plain token game
+makes, in the same order, so the estimates are too, and a bad rate or a bad
+effect raises at the same point of the trajectory.
 
 The estimate is the time average of a 0/1 reward over ``(warmup, horizon]``
 with a batch-means 95% confidence interval (Student-t over equal-width
@@ -30,11 +36,13 @@ replication seeds are spawned from the master seed without overlap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VanishingLivelock
+from .errors import NonFiniteExitRate, VanishingLivelock
 from .san import SanModel, compiled
 from .statespace import DEFAULT_MAX_STATES
 
@@ -65,64 +73,101 @@ def _check_common(model, reward, horizon, warmup):
     return cm, warmup
 
 
-def _step(cm, reward_fn, vec) -> tuple:
-    """``(tangible, moves, total, is_up)`` at ``vec``: ``cm.moves(vec)``, its
-    timed total summed in declaration order, and whether the reward is
-    nonzero, which is evaluated at tangible markings only."""
-    tangible, moves = cm.moves(vec)
-    if not tangible:
-        return False, moves, 0.0, False
-    total = 0.0
-    for _, r in moves:
-        total += r
-    return True, moves, total, reward_fn(vec) != 0.0
+class _Record:
+    """A visited marking: its step, built by ``cm.moves`` on the first visit,
+    and the successor of each ``(activity, case)`` fired from it so far.
+
+    ``bounds`` holds the running sums of the enabled timed rates, left to
+    right, without the last one, which is ``total``.  Bisecting a draw below
+    ``total`` therefore picks the first activity whose running sum exceeds
+    it, as a linear scan does, and the last activity takes every draw past
+    the others (the scan's fall-through).
+    """
+
+    __slots__ = ("vec", "tangible", "up", "acts", "bounds", "total", "scale",
+                 "succ", "kept")
+
+    def __init__(self, cm, reward_fn, vec):
+        tangible, moves = cm.moves(vec)
+        self.vec = vec
+        self.tangible = tangible
+        self.acts = [a for a, _ in moves]
+        self.bounds = []
+        self.total = self.scale = 0.0
+        if tangible and moves:
+            self.bounds = list(accumulate(r for _, r in moves))
+            total = self.bounds.pop()
+            if not math.isfinite(total):
+                raise NonFiniteExitRate(total, cm.marking_dict(vec))
+            self.total = total
+            self.scale = 1.0 / total
+        self.up = tangible and reward_fn(vec) != 0.0
+        self.succ = [[None] * len(a.case_probs) for a in self.acts]
+        self.kept = False
+
+
+def _visit(cm, reward_fn, memo, vec) -> _Record:
+    """The record of ``vec``: the kept one, else a new one, kept while the
+    memo holds fewer than ``DEFAULT_MAX_STATES``."""
+    rec = memo.get(vec)
+    if rec is None:
+        rec = _Record(cm, reward_fn, vec)
+        if len(memo) < DEFAULT_MAX_STATES:
+            memo[vec] = rec
+            rec.kept = True
+    return rec
+
+
+def _successor(cm, reward_fn, memo, rec, i, c) -> _Record:
+    """Fire ``rec.acts[i]`` with case ``c``; link the two records if both are
+    kept, so no kept record holds on to a transient one."""
+    nxt = _visit(cm, reward_fn, memo, cm.fire_vec(rec.vec, rec.acts[i], c))
+    if rec.kept and nxt.kept:
+        rec.succ[i][c] = nxt
+    return nxt
 
 
 def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
     """One trajectory; returns per-batch up-time over (warmup, horizon].
 
-    ``memo`` maps markings to their ``_step``; it fills up to
-    ``DEFAULT_MAX_STATES`` entries, beyond which markings are stepped afresh
-    on every visit.
+    ``memo`` maps markings to their kept ``_Record``; it is shared by every
+    trajectory of one call and holds up to ``DEFAULT_MAX_STATES`` records.
     """
     width = (horizon - warmup) / batches
-    up = np.zeros(batches)
-    vec = cm.initial
+    up = [0.0] * batches
+    last = batches - 1
+    exponential, random = rng.exponential, rng.random
+    rec = _visit(cm, reward_fn, memo, cm.initial)
     t = 0.0
     consecutive_instant = 0
     while t < horizon:
-        step = memo.get(vec)
-        if step is None:
-            step = _step(cm, reward_fn, vec)
-            if len(memo) < DEFAULT_MAX_STATES:
-                memo[vec] = step
-        tangible, moves, total, is_up = step
-        if not tangible:
+        acts = rec.acts
+        if not rec.tangible:
             consecutive_instant += 1
             if consecutive_instant > LIVELOCK_LIMIT:
                 raise VanishingLivelock(LIVELOCK_LIMIT)
-            a = moves[0][0] if len(moves) == 1 else moves[rng.integers(len(moves))][0]
-            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
+            i = 0 if len(acts) == 1 else rng.integers(len(acts))
+            c = _pick_case(acts[i], rng)
+            rec = rec.succ[i][c] or _successor(cm, reward_fn, memo, rec, i, c)
             continue
         consecutive_instant = 0
 
-        if not moves:  # dead marking: the trajectory stays here forever
+        if not acts:  # dead marking: the trajectory stays here forever
             t_next = horizon
         else:
-            t_next = t + rng.exponential(1.0 / total)
-            u = rng.random() * total
-            acc = 0.0
-            for a, r in moves:
-                acc += r
-                if u < acc:
-                    break
+            t_next = t + exponential(rec.scale)
+            i = bisect_right(rec.bounds, random() * rec.total)
 
-        if is_up:
-            lo = max(t, warmup)
-            hi = min(t_next, horizon)
+        if rec.up:
+            lo = t if t > warmup else warmup
+            hi = t_next if t_next < horizon else horizon
             if hi > lo:
-                b0 = min(int((lo - warmup) / width), batches - 1)
-                b1 = min(int((hi - warmup) / width), batches - 1)
+                b0 = int((lo - warmup) / width)
+                b1 = int((hi - warmup) / width)
+                if b0 > last:
+                    b0 = last
+                if b1 > last:
+                    b1 = last
                 if b0 == b1:
                     up[b0] += hi - lo
                 else:
@@ -132,8 +177,9 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
                     up[b1] += hi - (warmup + b1 * width)
         t = t_next
         if t < horizon:
-            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
-    return up / width
+            c = _pick_case(acts[i], rng)
+            rec = rec.succ[i][c] or _successor(cm, reward_fn, memo, rec, i, c)
+    return np.array(up) / width
 
 
 def _pick_case(a, rng) -> int:
@@ -178,9 +224,13 @@ def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None 
 def simulate_replicated(model: SanModel, reward: str, horizon: float,
                         warmup: float | None = None, replications: int = 10,
                         seed: int = 12345) -> SimEstimate:
-    """Independent replications with seeds spawned from the master seed."""
-    if replications < 2:
-        raise ValueError(f"replications must be >= 2, got {replications}")
+    """Independent replications with seeds spawned from the master seed.
+
+    ``replications`` must be in ``[2, MAX_BATCHES]``, checked before any seed
+    is spawned.
+    """
+    if not 2 <= replications <= MAX_BATCHES:
+        raise ValueError(f"replications must be in [2, {MAX_BATCHES}], got {replications}")
     cm, warmup = _check_common(model, reward, horizon, warmup)
     reward_fn = cm.rewards[reward]
     children = np.random.SeedSequence(seed).spawn(replications)

@@ -46,8 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (NotIrreducible, StateSpaceExceeded, UnknownReward,
-                     VanishingLoop)
+from .errors import (NonFiniteExitRate, NotIrreducible, StateSpaceExceeded,
+                     UnknownReward, VanishingLoop)
 from .expr import identifiers
 from .san import SanModel, compiled
 
@@ -499,8 +499,9 @@ def to_ctmc(g: StateGraph, reward: str) -> Ctmc:
     """Assemble the generator matrix and reward vector from a tangible graph.
 
     Parallel transitions are summed and self loops dropped (they do not affect
-    the stationary distribution).  The chain must form a single strongly
-    connected class.
+    the stationary distribution).  Every exit rate must be finite, else
+    ``NonFiniteExitRate`` (an ``EvaluationError``), and the chain must form a
+    single strongly connected class.
     """
     if g.n_vanishing:
         raise ValueError("graph still contains vanishing states; "
@@ -512,6 +513,10 @@ def to_ctmc(g: StateGraph, reward: str) -> Ctmc:
 
     A = _off_diagonal(_matrix(g))
     exit_rates = np.asarray(A.sum(axis=1)).ravel()
+    overflow = np.flatnonzero(~np.isfinite(exit_rates))
+    if overflow.size:
+        i = overflow[0]
+        raise NonFiniteExitRate(float(exit_rates[i]), dict(zip(g.place_order, g.states[i])))
     Q = A + sp.diags(-exit_rates, format="csr")
 
     n_comp, labels = connected_components(A, directed=True, connection="strong")

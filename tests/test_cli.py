@@ -183,6 +183,22 @@ activity timed extra rate "k" {{
     assert lines[0].startswith("error: activity 'extra' has rate")
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_overflowing_exit_rate_exits_1(capsys, tmp_path, command):
+    # "fail" and "fail2" are each finite, but their sum in Up is not
+    path = tmp_path / "overflow.san"
+    path.write_text((DATA / "two_state.san").read_text() + """\
+activity timed fail2 rate "lam" {
+  input "#Up >= 1" { Up -= 1 }
+  case 1 { Down += 1 }
+}
+""")
+    code, out, err = run(capsys, command, str(path), "--reward", "up", "--set", "lam=1e308")
+    assert code == 1 and not out
+    lines = err.strip().splitlines()
+    assert lines == ["error: exit rate inf in marking {'Down': 0, 'Up': 1} is not finite"]
+
+
 def test_ft_paper_zeros(capsys):
     code, out, _ = run(capsys, "ft", "--paper",
                        *("--u-ru 0 --u-du 0 --u-cu 0 --u-meh 0 "

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from edgeavail import models as md
@@ -16,6 +17,74 @@ from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
 from conftest import deadline, two_state_model
+
+
+def _reference_step(cm, reward_fn, vec) -> tuple:
+    """``(tangible, moves, total, is_up)`` at ``vec``: ``cm.moves(vec)``, its
+    timed total summed in declaration order, and whether the reward is
+    nonzero, which is evaluated at tangible markings only."""
+    tangible, moves = cm.moves(vec)
+    if not tangible:
+        return False, moves, 0.0, False
+    total = 0.0
+    for _, r in moves:
+        total += r
+    return True, moves, total, reward_fn(vec) != 0.0
+
+
+def _reference_batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
+    """The plain token game that ``simulator._batch_uptimes`` must reproduce
+    bit for bit: it memoizes each marking's step but scans the activities
+    and calls ``fire_vec`` on every firing."""
+    width = (horizon - warmup) / batches
+    up = np.zeros(batches)
+    vec = cm.initial
+    t = 0.0
+    consecutive_instant = 0
+    while t < horizon:
+        step = memo.get(vec)
+        if step is None:
+            step = _reference_step(cm, reward_fn, vec)
+            if len(memo) < simulator.DEFAULT_MAX_STATES:
+                memo[vec] = step
+        tangible, moves, total, is_up = step
+        if not tangible:
+            consecutive_instant += 1
+            if consecutive_instant > simulator.LIVELOCK_LIMIT:
+                raise VanishingLivelock(simulator.LIVELOCK_LIMIT)
+            a = moves[0][0] if len(moves) == 1 else moves[rng.integers(len(moves))][0]
+            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
+            continue
+        consecutive_instant = 0
+
+        if not moves:  # dead marking: the trajectory stays here forever
+            t_next = horizon
+        else:
+            t_next = t + rng.exponential(1.0 / total)
+            u = rng.random() * total
+            acc = 0.0
+            for a, r in moves:
+                acc += r
+                if u < acc:
+                    break
+
+        if is_up:
+            lo = max(t, warmup)
+            hi = min(t_next, horizon)
+            if hi > lo:
+                b0 = min(int((lo - warmup) / width), batches - 1)
+                b1 = min(int((hi - warmup) / width), batches - 1)
+                if b0 == b1:
+                    up[b0] += hi - lo
+                else:
+                    up[b0] += warmup + (b0 + 1) * width - lo
+                    for b in range(b0 + 1, b1):
+                        up[b] += width
+                    up[b1] += hi - (warmup + b1 * width)
+        t = t_next
+        if t < horizon:
+            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
+    return up / width
 
 
 def test_two_state_point_and_coverage(two_state):
@@ -67,6 +136,13 @@ def test_halfwidth_shrinks_with_horizon(table):
 def test_replications_must_be_at_least_two(two_state):
     with pytest.raises(ValueError):
         simulate_replicated(two_state, "up", horizon=1e4, replications=1, seed=1)
+
+
+def test_replications_above_the_cap_fail_fast(two_state):
+    # rejected before a seed is spawned or a trajectory is walked
+    with deadline(10), pytest.raises(ValueError, match="replications must be in"):
+        simulate_replicated(two_state, "up", horizon=10.0,
+                            replications=simulator.MAX_BATCHES + 1, seed=1)
 
 
 def test_batches_must_be_at_least_two(two_state):
@@ -165,6 +241,26 @@ def test_bad_rate_rejected_by_explore_and_simulate(k):
         simulate(m, "up", horizon=1e5, seed=1)
 
 
+def test_overflowing_exit_rate_rejected_by_to_ctmc_and_simulate():
+    # two enabled 1e308 rates are each finite, but their sum is not; left
+    # unchecked, GTH gives pi = [0, nan] and U = 0, and the simulator 0.0
+    base = two_state_model(lam=1e308)
+    fail = base.activity("fail")
+    m = SanModel(places=base.places, parameters=base.parameters,
+                 activities=base.activities + (Activity("fail2", fail.rate, fail.input,
+                                                        fail.cases),),
+                 rewards=base.rewards)
+    assert validate(m) == []
+    message = r"exit rate inf in marking \{'Down': 0, 'Up': 1\} is not finite"
+    graph = eliminate_vanishing(explore(m))
+    with pytest.raises(EvaluationError, match=message):
+        to_ctmc(graph, "up")
+    with pytest.raises(EvaluationError, match=message):
+        simulate(m, "up", horizon=1e3, seed=1)
+    with pytest.raises(EvaluationError, match=message):
+        simulate_replicated(m, "up", horizon=1e3, seed=1)
+
+
 class _StubRng:
     def __init__(self, u):
         self.u = u
@@ -250,7 +346,11 @@ def test_memo_never_changes_a_replicated_estimate(table, monkeypatch, name):
 
 
 def test_memo_steps_each_marking_once_and_fires_as_often(table, monkeypatch):
+    # the memo runs ``moves`` once per marking and ``fire_vec`` once per
+    # (marking, activity, case); at cap 0 every visit steps and every firing
+    # fires, call for call as the reference loop does
     moves, fire_vec = CompiledModel.moves, CompiledModel.fire_vec
+    batch_uptimes = simulator._batch_uptimes
     stepped, fired = [], []
 
     def counted_moves(self, vec):
@@ -258,19 +358,51 @@ def test_memo_steps_each_marking_once_and_fires_as_often(table, monkeypatch):
         return moves(self, vec)
 
     def counted_fire_vec(self, vec, act, case_index):
-        fired.append(vec)
+        fired.append((vec, act.name, case_index))
         return fire_vec(self, vec, act, case_index)
 
     monkeypatch.setattr(CompiledModel, "moves", counted_moves)
     monkeypatch.setattr(CompiledModel, "fire_vec", counted_fire_vec)
     cluster = md.build_cluster(table)
-    simulate(cluster, "up", horizon=2e5, seed=5)
-    memo_steps, memo_fires = list(stepped), list(fired)
-    assert len(set(memo_steps)) == len(memo_steps) < len(memo_fires)
 
-    stepped.clear()
-    fired.clear()
+    def run(loop, cap):
+        stepped.clear()
+        fired.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(simulator, "_batch_uptimes", loop)
+            patched.setattr(simulator, "DEFAULT_MAX_STATES", cap)
+            est = simulate(cluster, "up", horizon=2e5, seed=5)
+        return est, list(stepped), list(fired)
+
+    memo_est, memo_steps, memo_fires = run(batch_uptimes, simulator.DEFAULT_MAX_STATES)
+    assert len(set(memo_steps)) == len(memo_steps)
+    assert len(set(memo_fires)) == len(memo_fires)
+
+    ref_est, ref_steps, ref_fires = run(_reference_batch_uptimes, 0)
+    assert len(ref_steps) == len(ref_fires) + 1 > len(memo_fires)
+    assert set(ref_steps) == set(memo_steps) and set(ref_fires) == set(memo_fires)
+    assert run(batch_uptimes, 0) == (ref_est, ref_steps, ref_fires)
+    assert memo_est == ref_est
+
+
+def test_memo_keeps_at_most_cap_records_and_links_only_kept_ones(table, monkeypatch):
+    # a kept record linked to a transient one would keep a chain of them alive
+    batch_uptimes = simulator._batch_uptimes
+    memos = []
+
+    def spied(cm, reward_fn, horizon, warmup, batches, rng, memo):
+        memos.append(memo)
+        return batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo)
+
+    monkeypatch.setattr(simulator, "_batch_uptimes", spied)
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 3)
+    cluster = md.build_cluster(table)
+    capped = simulate(cluster, "up", horizon=2e5, seed=5)
+    memo, = memos
+    assert len(memo) == 3
+    links = [nxt for rec in memo.values() for row in rec.succ for nxt in row
+             if nxt is not None]
+    assert links and all(memo.get(nxt.vec) is nxt for nxt in links)
     monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
-    simulate(cluster, "up", horizon=2e5, seed=5)
-    assert fired == memo_fires
-    assert set(stepped) == set(memo_steps) and len(stepped) == len(fired) + 1
+    assert simulate(cluster, "up", horizon=2e5, seed=5) == capped
+    assert not memos[1]
