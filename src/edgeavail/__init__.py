@@ -10,8 +10,9 @@ studies built on them.
 from .errors import (DenseBlockTooLarge, DivisionByZero, EdgeavailError,
                      EvaluationError, NegativeTokens, NotConverged, NotEnabled,
                      NotIrreducible, ParseError, SemanticError,
-                     StateSpaceExceeded, UnknownIdentifier, UnknownReward,
-                     VanishingLivelock, VanishingLoop)
+                     SparseStagesTooLarge, StateSpaceExceeded,
+                     UnknownIdentifier, UnknownReward, VanishingLivelock,
+                     VanishingLoop)
 from .expr import Expr, identifiers, parse_expression, to_text
 from .san import (Activity, CaseSpec, Effect, InputSpec, Marking, Place,
                   RewardPredicate, SanModel, enabled_activities, fire, put,

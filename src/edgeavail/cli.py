@@ -30,7 +30,8 @@ from . import models as md
 from .document import parse_model
 from .errors import (DenseBlockTooLarge, EdgeavailError, NotConverged,
                      NotIrreducible, ParseError, SemanticError,
-                     StateSpaceExceeded, VanishingLivelock, VanishingLoop)
+                     SparseStagesTooLarge, StateSpaceExceeded,
+                     VanishingLivelock, VanishingLoop)
 from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
 from .san import validate
 from .simulator import MAX_BATCHES, simulate
@@ -43,7 +44,8 @@ EXIT_COMPUTE = 2
 EXIT_USAGE = 64
 
 _COMPUTE_ERRORS = (NotIrreducible, NotConverged, VanishingLoop,
-                   VanishingLivelock, StateSpaceExceeded, DenseBlockTooLarge)
+                   VanishingLivelock, StateSpaceExceeded, DenseBlockTooLarge,
+                   SparseStagesTooLarge)
 
 
 class UsageError(Exception):

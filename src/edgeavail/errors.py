@@ -89,6 +89,18 @@ class DenseBlockTooLarge(EdgeavailError):
             "use --method iter")
 
 
+class SparseStagesTooLarge(EdgeavailError):
+    """Exact elimination's sparse stages outgrew their memory budget."""
+
+    def __init__(self, nbytes, states, limit):
+        self.nbytes = nbytes
+        self.states = states
+        self.limit = limit
+        super().__init__(
+            f"exact GTH's sparse stages hold {nbytes / 1e6:.0f} MB with "
+            f"{states} states left (limit {limit / 1e6:.0f} MB); use --method iter")
+
+
 class UnknownReward(EdgeavailError):
     def __init__(self, name, known):
         self.name = name

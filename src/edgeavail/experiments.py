@@ -5,7 +5,10 @@ with the system unavailability obtained from the exact (GTH) pipeline.
 Element unavailabilities are solved once per distinct parameter set and
 cached, so the fault-tree algebra dominates nothing; results are bit-for-bit
 reproducible.  The core-network and manager clusters share one model, so
-each distinct cluster table is solved once, whichever cluster uses it.
+each distinct cluster table is solved once, whichever cluster uses it.  The
+cache explores each model structure once (``models.element_unavailability``):
+the studies vary K and the multipliers at M = 10, so their cluster tables
+share one marking graph and each only recomputes its weights.
 Rows are ordered by configuration, never by completion, and independent
 cluster solves can be spread over a process pool.
 

@@ -44,14 +44,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .expr import parse_expression
+from .expr import identifiers, parse_expression
 from .san import (Activity, CaseSpec, InputSpec, Place, RewardPredicate,
                   SanModel, put, set_to, take, validate)
 from .solver import steady_state_gth, unavailability
-from .statespace import eliminate_vanishing, explore, to_ctmc
+from .statespace import eliminate_vanishing, explore, revalue, to_ctmc
 
 SECOND = 1.0 / 3600.0
 MINUTE = 1.0 / 60.0
@@ -110,8 +112,8 @@ class IntensityTable:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.name.startswith(("lambda_", "mu_", "alpha_")) and not v > 0:
-                raise ValueError(f"rates must be > 0: {f.name}={v!r}")
+            if f.name.startswith(("lambda_", "mu_", "alpha_")) and not 0 < v < math.inf:
+                raise ValueError(f"rates must be > 0 and finite: {f.name}={v!r}")
             if f.name.startswith("C_") and not 0.0 <= v <= 1.0:
                 raise ValueError(f"coverage factors must be in [0, 1]: {f.name}={v!r}")
         if not (isinstance(self.M, int) and isinstance(self.K, int)):
@@ -442,25 +444,82 @@ def build_element(kind: ElementKind, t: IntensityTable) -> SanModel:
     return _BUILDERS[kind](t)
 
 
+# Marking graphs by structure key, least recently used first.
+_STRUCTURES = OrderedDict()
+_STRUCTURE_ENTRIES = 8
+
+
+def structure_key(model: SanModel) -> tuple:
+    """What ``model``'s marking graph depends on, as a hashable value.
+
+    The places with their initial marking; each activity's name, whether it
+    is timed, its input gate, and per case whether its probability is
+    nonzero, with its effects; and the values of the parameters that
+    predicates and effects read.  Rate expressions and the size of a nonzero
+    probability are left out: models that differ only there reach the same
+    markings in the same order, and ``statespace.revalue`` carries one's
+    graph over to the other.
+    """
+    read = set()
+    activities = []
+    for a in model.activities:
+        read |= identifiers(a.input.predicate)[0]
+        for effect in a.input.effects + tuple(e for c in a.cases for e in c.effects):
+            read |= identifiers(effect.value)[0]
+        activities.append((a.name, a.timed, a.input,
+                           tuple((c.probability != 0.0, c.effects) for c in a.cases)))
+    # repr keeps apart values that compare equal but evaluate apart (0.0, -0.0)
+    values = tuple((name, repr(model.parameters.get(name))) for name in sorted(read))
+    return tuple(model.places), tuple(activities), values
+
+
+def _marking_graph(model: SanModel):
+    """``explore(model)``, explored once per structure and revalued after that."""
+    key = structure_key(model)
+    g = _STRUCTURES.get(key)
+    if g is not None:
+        _STRUCTURES.move_to_end(key)
+        return revalue(g, model)
+    g = _STRUCTURES[key] = explore(model)
+    if len(_STRUCTURES) > _STRUCTURE_ENTRIES:
+        _STRUCTURES.popitem(last=False)
+    return g
+
+
 @lru_cache(maxsize=None)
 def _solve_element(kind: ElementKind, t: IntensityTable) -> float:
     model = build_element(kind, t)
-    chain = to_ctmc(eliminate_vanishing(explore(model)), UP)
+    chain = to_ctmc(eliminate_vanishing(_marking_graph(model)), UP)
     return unavailability(chain, steady_state_gth(chain))
 
 
 def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
     """Full pipeline: build, explore, eliminate vanishing, solve, extract.
 
-    Cached per table; both cluster kinds share one entry, since they build
-    the same model.
+    Cached on two levels.  The first maps ``(kind, table)`` to the result;
+    both cluster kinds share one entry, since they build the same model.  A
+    miss there builds the model and looks up its marking graph by
+    :func:`structure_key`: the places and initial marking, the activities'
+    predicates, effects and nonzero cases, and the parameters those read.
+    For the cluster that holds M and which coverage factors are 0 or 1, but
+    not K, the multipliers or the rates.  Only the first model of a
+    structure is explored; later ones recompute the graph's weights
+    (``statespace.revalue``) and run the rest of the pipeline as usual.  The
+    second level keeps the ``_STRUCTURE_ENTRIES`` most recently used
+    structures.  ``cache_clear`` empties both levels; ``cache_info`` counts
+    the first.
     """
     if kind is ElementKind.CLUSTER_MANO:
         kind = ElementKind.CLUSTER_5GC
     return _solve_element(kind, t)
 
 
-element_unavailability.cache_clear = _solve_element.cache_clear
+def _cache_clear() -> None:
+    _solve_element.cache_clear()
+    _STRUCTURES.clear()
+
+
+element_unavailability.cache_clear = _cache_clear
 element_unavailability.cache_info = _solve_element.cache_info
 
 

@@ -28,8 +28,9 @@ state by state, touching only the panel's rows and columns, and the rest of
 the block then takes the whole panel's update as matrix products, one
 column strip at a time.  That regroups the same nonnegative sums, so the
 kernel stays subtraction-free (O'Cinneide 1993).  A remainder too large to
-hold densely raises ``DenseBlockTooLarge`` before it is allocated; the
-iterative path solves such chains.
+hold densely raises ``DenseBlockTooLarge`` before it is allocated, and
+sparse stages that outgrow the same memory budget raise
+``SparseStagesTooLarge``; the iterative path solves such chains.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from .errors import DenseBlockTooLarge, NotConverged, NotIrreducible
+from .errors import (DenseBlockTooLarge, NotConverged, NotIrreducible,
+                     SparseStagesTooLarge)
 from .statespace import Ctmc, _independent_set, _off_diagonal, censor
 
 DEFAULT_TOL = 1e-12
@@ -52,8 +54,11 @@ DEFAULT_MAX_ITER = 1_000_000
 # the blocked dense work it saves.  Both were tuned, with the blocked kernel,
 # on cluster chains of 946 to 20,336 states; a share of 0.05 already leaves
 # (30,27) a remainder above _DENSE_MAX.  A remainder above _DENSE_MAX states
-# (200 MB dense) is refused.  The dense kernel works on panels of _PANEL
-# states, and applies each panel's update in column strips of the same
+# (200 MB dense) is refused, and so are sparse stages holding more than
+# _SPARSE_MAX_BYTES, the same 200 MB: the matrix left plus what each stage
+# keeps for back-substitution (a stage's products briefly take a few times
+# that; (40,36) holds at most 26 MB).  The dense kernel works on panels of
+# _PANEL states, and applies each panel's update in column strips of the same
 # width: an (n x 32) @ (32 x 32) product and an n x 32 temporary.  OpenBLAS
 # runs such a product on one thread up to several hundred rows, so pool
 # workers solving the studies' ~270-state remainders do not compete for
@@ -62,6 +67,7 @@ _DENSE_BLOCK = 300
 _MIN_STAGE_SHARE = 0.03
 _DENSE_MAX = 5_000
 _PANEL = 32
+_SPARSE_MAX_BYTES = 8 * _DENSE_MAX ** 2
 
 
 @dataclass
@@ -76,6 +82,10 @@ class SteadyState:
 
 def _residual(pi, Q) -> float:
     return float(np.max(np.abs(pi @ Q)))
+
+
+def _nbytes(A: sp.csr_matrix) -> int:
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 def _cut_off(state) -> NotIrreducible:
@@ -121,8 +131,9 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
     """Stationary distribution by GTH elimination (subtraction-free, exact to roundoff).
 
     Raises ``NotIrreducible`` when a state has no exit or elimination finds a
-    state cut off from the rest, and ``DenseBlockTooLarge`` when the sparse
-    stages leave more than ``_DENSE_MAX`` states for the dense kernel.
+    state cut off from the rest, ``SparseStagesTooLarge`` when the sparse
+    stages hold more than ``_SPARSE_MAX_BYTES``, and ``DenseBlockTooLarge``
+    when they leave more than ``_DENSE_MAX`` states for the dense kernel.
     """
     n = c.n_states
     if n == 1:
@@ -137,6 +148,7 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
     # stochastic complement is A[R,R] + A[R,I] diag(1/s_I) A[I,R].
     labels = np.arange(n)
     stages = []
+    kept = 0         # bytes of the stages kept for back-substitution
     while A.shape[0] > _DENSE_BLOCK:
         in_set = _independent_set(A)
         if in_set.sum() < _MIN_STAGE_SHARE * A.shape[0]:
@@ -148,6 +160,10 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
         A = _off_diagonal(complement)
         stages.append((I, R, A_RI, s_I))
         labels = labels[R]
+        kept += _nbytes(A_RI) + I.nbytes + R.nbytes + s_I.nbytes
+        held = kept + _nbytes(A)
+        if held > _SPARSE_MAX_BYTES:
+            raise SparseStagesTooLarge(held, A.shape[0], _SPARSE_MAX_BYTES)
 
     if A.shape[0] > _DENSE_MAX:
         raise DenseBlockTooLarge(A.shape[0], _DENSE_MAX)

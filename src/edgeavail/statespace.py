@@ -21,6 +21,13 @@ the scalar step gives it.  Either way states are numbered in order of first
 discovery (source, then activity in declaration order, then case), so the
 graph does not depend on which path expanded a level.
 
+Which markings are reached, and in what order, depends only on a model's
+structure, not on its rates or on the size of a nonzero case probability.
+``revalue`` is the numeric phase that this allows: given the graph of a model
+of the same structure, it recomputes only the edge weights, with the same
+closures and products as ``explore``, so the result is bit for bit the graph
+``explore`` would build.
+
 ``eliminate_vanishing`` censors the vanishing markings away, an independent
 set of them (no edge between two) at a time, with ``censor``: the same
 stochastic-complement stage that ``solver.steady_state_gth`` runs.  Chains,
@@ -46,8 +53,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (NonFiniteExitRate, NotIrreducible, StateSpaceExceeded,
-                     UnknownReward, VanishingLoop)
+from .errors import (EvaluationError, NonFiniteExitRate, NotIrreducible,
+                     StateSpaceExceeded, UnknownReward, VanishingLoop)
 from .expr import identifiers
 from .san import SanModel, compiled
 
@@ -403,6 +410,48 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
     src, dst, value, label = (np.concatenate(parts) for parts in zip(*chunks))
     return StateGraph(model, cm.place_order, states, tangible, src, dst, value,
                       label, labels, 0)
+
+
+def revalue(g: StateGraph, model: SanModel) -> StateGraph:
+    """``explore(model)``, given the graph ``g`` of a model of the same structure.
+
+    The numeric phase of exploration.  ``model`` must enable, fire and number
+    markings as ``g.model`` does: the same places and initial marking, the
+    same activities with the same predicates, effects and nonzero cases, and
+    the same values of the parameters those read.  Only the weights change,
+    so only ``value`` is rebuilt: a timed edge gets ``rate(source) * p`` and
+    a vanishing one ``(1 / enabled instantaneous activities) * p``, with
+    ``model``'s rates and probabilities and the arithmetic of ``explore``.
+    A rate that is not positive and finite, or that fails to evaluate,
+    falls back to ``explore(model)``, which raises the usual error.
+    """
+    cm = compiled(model)
+    plans, _ = _plans(cm)
+    X = np.array(g.states, dtype=np.int64)
+    vanishing = np.flatnonzero(~np.array(g.tangible, dtype=bool))
+    count = np.zeros(len(X), dtype=np.int64)
+    value = np.empty(len(g.src))
+    try:
+        for a in cm.instant_activities if vanishing.size else ():
+            count[vanishing] += _values(a.pred, plans[a].pred, X[vanishing]) != 0.0
+        for a in cm.activities:
+            first = plans[a].label
+            at = np.flatnonzero((g.label >= first) & (g.label < first + len(a.case_probs)))
+            if not at.size:
+                continue
+            rows = g.src[at]
+            if a.timed:
+                weight = _values(a.rate, plans[a].rate, X[rows])
+                if not np.all((weight > 0.0) & (weight < np.inf)):
+                    return explore(model)
+            else:
+                weight = 1.0 / count[rows]
+            value[at] = weight * np.array(a.case_probs)[g.label[at] - first]
+    except (EvaluationError, _Replay):
+        # explore raises the real error, and its scalar step takes markings
+        # too wide to key
+        return explore(model)
+    return dataclasses.replace(g, model=model, value=value)
 
 
 def _off_diagonal(M) -> sp.csr_matrix:

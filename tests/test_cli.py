@@ -93,6 +93,15 @@ def test_solve_oversized_dense_block_exits_2(capsys, monkeypatch):
     assert "computation error" in err and "--method iter" in err
 
 
+def test_solve_oversized_sparse_stages_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_SPARSE_MAX_BYTES", 1000)
+    code, out, err = run(capsys, "solve", str(MODELS / "cluster.san"),
+                         "--reward", "up")
+    assert code == 2 and not out
+    assert "computation error" in err and "sparse stages" in err
+    assert "--method iter" in err
+
+
 def test_solve_set_override(capsys):
     code, out, _ = run(capsys, "solve", TWO_STATE, "--reward", "up",
                        "--set", "lam=0.9")
@@ -276,6 +285,14 @@ def test_paper_csv_to_stdout(capsys):
 def test_paper_rejects_zero_rate_exits_64(capsys):
     code, _, err = run(capsys, "paper", "table3", "--set", "lambda_SW=0")
     assert code == 64
+    assert "rates must be > 0" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_paper_rejects_non_finite_rate_exits_64(capsys, value):
+    code, out, err = run(capsys, "paper", "fig7", "--set", f"lambda_SW={value}",
+                         "--out", "-")
+    assert code == 64 and not out
     assert "rates must be > 0" in err
 
 

@@ -1,8 +1,11 @@
 """Built-in element models: defaults, topologies, limiting behavior."""
 
+import numpy as np
 import pytest
 
 from edgeavail import models as md
+from edgeavail import statespace
+from edgeavail.errors import EvaluationError
 from edgeavail.models import ElementKind, element_unavailability
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
@@ -33,6 +36,10 @@ def test_catalog_validation():
         md.default_table().with_overrides(lambda_SW=0.0)
     with pytest.raises(ValueError):
         md.default_table().with_overrides(C_OS=1.5)
+    for name, value in (("lambda_SW", float("inf")), ("mu_SW", float("nan")),
+                        ("alpha_S", float("inf"))):
+        with pytest.raises(ValueError, match=f"rates must be > 0 and finite: {name}="):
+            md.default_table().with_overrides(**{name: value})
     with pytest.raises(ValueError):
         md.default_table().with_overrides(K=11)
     with pytest.raises(KeyError):
@@ -145,3 +152,108 @@ def test_element_unavailability_is_cached_and_reproducible(table):
     assert first == again
     element_unavailability.cache_clear()
     assert element_unavailability(ElementKind.DU, table) == first
+
+
+# ── the structure level of the element cache ────────────────────────────────
+
+_KINDS = (ElementKind.RU, ElementKind.DU, ElementKind.CU, ElementKind.MEH,
+          ElementKind.CLUSTER_5GC)
+
+# rates and coverage factors in (0, 1): every table keeps the default structure;
+# DU's software recovery is instantaneous, so C_SW weighs vanishing edges there
+_VARIED = (
+    {"C_SW": 0.5, "C_OS": 0.3, "C_HW": 0.6, "C_VM": 0.45, "C_HYP": 0.2, "C_APP": 0.55},
+    {"lambda_SW": 0.01, "mu_SW_r": 7.0, "mu_OS": 3.0, "lambda_RH": 1e-3,
+     "mu_HW_fo": 0.5, "mu_VM": 0.25, "lambda_APP": 0.02, "mu_A": 0.04},
+    {"C_SW": 0.999, "C_APP": 1e-6, "lambda_HW": 0.3, "mu_cov": 9.0, "K": 6,
+     "alpha_S": 100.0, "alpha_H": 0.01, "alpha_O": 10.0},
+)
+
+
+@pytest.fixture
+def counted_explore(monkeypatch):
+    """Clears the element cache and counts the explorations it runs."""
+    calls = []
+
+    def counting(model, *args):
+        calls.append(model)
+        return explore(model, *args)
+
+    element_unavailability.cache_clear()
+    monkeypatch.setattr(md, "explore", counting)
+    yield calls
+    element_unavailability.cache_clear()
+
+
+def _assert_same_chain(model):
+    cold = to_ctmc(eliminate_vanishing(explore(model)), "up")
+    warm = to_ctmc(eliminate_vanishing(md._marking_graph(model)), "up")
+    assert warm.states == cold.states
+    assert np.array_equal(warm.Q.toarray(), cold.Q.toarray())
+    assert np.array_equal(warm.reward, cold.reward)
+
+
+def test_structure_level_gives_cold_results_for_every_kind(table, counted_explore):
+    for kind in _KINDS:
+        for overrides in ({}, *_VARIED):
+            t = table.with_overrides(**overrides)
+            assert element_unavailability(kind, t) == _solve(md.build_element(kind, t))
+            _assert_same_chain(md.build_element(kind, t))
+    # one exploration per kind; every other table was revalued
+    assert len(counted_explore) == len(_KINDS)
+
+
+@pytest.mark.parametrize("M, K", [(8, 5), (10, 9), (12, 11), (15, 13)])
+def test_structure_level_on_cluster_sizes(table, counted_explore, M, K):
+    base = table.with_overrides(M=M, K=K)
+    element_unavailability(ElementKind.CLUSTER_5GC, base)
+    for overrides in ({"K": K - 1}, {"K": M, "alpha_S": 50.0},
+                      {"alpha_H": 0.02, "alpha_O": 30.0, "C_OS": 0.4}):
+        t = base.with_overrides(**overrides)
+        assert (element_unavailability(ElementKind.CLUSTER_MANO, t)
+                == _solve(md.build_cluster(t)))
+        _assert_same_chain(md.build_cluster(t))
+    assert len(counted_explore) == 1
+
+
+def test_structure_key_holds_what_the_graph_depends_on(table):
+    key = md.structure_key(md.build_cluster(table))
+    for same in ({"K": 6}, {"alpha_S": 100.0}, {"C_SW": 0.5}, {"mu_HW": 9.0}):
+        assert md.structure_key(md.build_cluster(table.with_overrides(**same))) == key
+    for other in ({"M": 9, "K": 9}, {"C_SW": 1.0}, {"C_HW": 0.0}):
+        assert md.structure_key(md.build_cluster(table.with_overrides(**other))) != key
+
+
+def test_overflowing_rate_raises_as_a_cold_solve_does(table, counted_explore):
+    bad = table.with_overrides(alpha_S=1e308, lambda_SW=1e3)
+    element_unavailability(ElementKind.CLUSTER_5GC, table)
+    with pytest.raises(EvaluationError) as warm:
+        element_unavailability(ElementKind.CLUSTER_5GC, bad)
+    element_unavailability.cache_clear()
+    with pytest.raises(EvaluationError) as cold:
+        element_unavailability(ElementKind.CLUSTER_5GC, bad)
+    assert "has rate inf" in str(cold.value)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_cache_clear_empties_both_levels(table, counted_explore):
+    element_unavailability(ElementKind.RU, table)
+    assert md._STRUCTURES and element_unavailability.cache_info().currsize == 1
+    element_unavailability.cache_clear()
+    assert not md._STRUCTURES and element_unavailability.cache_info().currsize == 0
+    element_unavailability(ElementKind.RU, table)
+    assert len(counted_explore) == 2
+
+
+def test_structure_level_is_bounded(table, counted_explore):
+    sizes = range(1, md._STRUCTURE_ENTRIES + 4)
+    for m in sizes:
+        element_unavailability(ElementKind.CLUSTER_5GC, table.with_overrides(M=m, K=1))
+    assert len(md._STRUCTURES) == md._STRUCTURE_ENTRIES
+    kept = {g.n_states for g in md._STRUCTURES.values()}
+    assert kept == {explore(md.build_cluster(table.with_overrides(M=m, K=1))).n_states
+                    for m in sizes[-md._STRUCTURE_ENTRIES:]}
+    # the least recently used structure went first: M = 1 is explored again
+    element_unavailability(ElementKind.CLUSTER_5GC,
+                           table.with_overrides(M=1, K=1, mu_HW=5.0))
+    assert len(counted_explore) == len(sizes) + 1

@@ -9,7 +9,8 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from edgeavail import models as md
 from edgeavail import solver
-from edgeavail.errors import DenseBlockTooLarge, NotConverged, NotIrreducible
+from edgeavail.errors import (DenseBlockTooLarge, NotConverged, NotIrreducible,
+                              SparseStagesTooLarge)
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, take)
@@ -279,6 +280,16 @@ def test_gth_refuses_oversized_dense_block(table, monkeypatch):
     with pytest.raises(DenseBlockTooLarge, match="--method iter") as err:
         steady_state_gth(_chain(md.build_cluster(table)))
     assert err.value.size > 10 and err.value.limit == 10
+
+
+def test_gth_refuses_sparse_stages_over_budget(table, monkeypatch):
+    c = _chain(md.build_cluster(table))
+    assert c.n_states > solver._DENSE_BLOCK
+    monkeypatch.setattr(solver, "_SPARSE_MAX_BYTES", 100_000)
+    with pytest.raises(SparseStagesTooLarge, match="--method iter") as err:
+        steady_state_gth(c)
+    assert err.value.nbytes > 100_000 and err.value.limit == 100_000
+    assert solver._DENSE_BLOCK < err.value.states < c.n_states
 
 
 def _gauss_seidel_per_call(c, tol):

@@ -17,7 +17,7 @@ from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, put, set_to, take)
 from edgeavail.simulator import simulate
 from edgeavail.solver import steady_state_gth, unavailability
-from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
+from edgeavail.statespace import eliminate_vanishing, explore, revalue, to_ctmc
 
 from conftest import MODELS, deadline, state_graph, two_state_model
 
@@ -467,3 +467,42 @@ def test_block_errors_replay_through_scalar_step(monkeypatch, model, error):
             explore(model)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def _split(p, r):
+    """Timed edges whose rate reads the marking, and vanishing ones with a
+    zero-probability case between two that ``p`` weighs."""
+    return SanModel(
+        places=(Place("Up", 4), Place("V", 0), Place("Down", 0)),
+        parameters={"r": r},
+        activities=(
+            Activity("fail", P("#Up / r"), InputSpec(P("#Up >= 1"), (take("Up"),)),
+                     (CaseSpec(0.5, (put("V"),)), CaseSpec(0.5, (put("Down"),)))),
+            Activity("split", None, InputSpec(P("#V >= 1"), (take("V"),)),
+                     (CaseSpec(p, (put("Down"),)), CaseSpec(0.0, (put("Up", 9),)),
+                      CaseSpec(1.0 - p, (put("Up"),)))),
+            Activity("repair", P("1 / #Down"), InputSpec(P("#Down >= 1"), (take("Down"),)),
+                     (CaseSpec(1.0, (put("Up"),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("#Up >= 1")),),
+    )
+
+
+def test_revalue_rebuilds_the_weights_explore_would():
+    g = explore(_split(0.25, 1.0))
+    assert g.n_vanishing > 0
+    for p, r in ((0.6, 3.0), (1e-9, 1e-7), (0.25, 1.0)):
+        new = _split(p, r)
+        got = revalue(g, new)
+        assert got.model is new
+        assert _graph_sha256(got) == _graph_sha256(explore(new))
+
+
+@pytest.mark.parametrize("r, error", [(0.0, DivisionByZero), (-1.0, EvaluationError)])
+def test_revalue_raises_what_explore_raises(r, error):
+    g = explore(_split(0.25, 1.0))
+    with pytest.raises(error) as cold:
+        explore(_split(0.25, r))
+    with pytest.raises(error) as warm:
+        revalue(g, _split(0.25, r))
+    assert str(warm.value) == str(cold.value)

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps the fault-tree composition and the element
 cache where ``edgeavail.experiments`` binds them.  A table3 pass run under
 the tracer must count every composition call and every cache miss, and
-leave the original names in place afterwards.
+leave the original names in place afterwards.  A fig6 pass shows the
+element cache's structure level: every (M, K) of the sweep has M = 10, so
+the cluster is explored once and revalued for the other tables.
 """
 
 import edgeavail
@@ -29,3 +31,18 @@ def test_table3_under_the_tracer(monkeypatch):
     assert metrics["faulttree.calls"] == 72      # u_ran and u_sys per row
     assert metrics["models.element_misses"] == 5  # ru, du, cu, meh, one cluster
     assert {name: getattr(experiments, name) for name in PATCHED} == before
+
+
+def test_fig6_explores_each_structure_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import tracing
+
+    edgeavail.element_unavailability.cache_clear()
+    tracer = tracing.Tracer()
+    with tracing.installed(edgeavail, tracer):
+        rows = edgeavail.run_cluster_sweep(default_table(), jobs=1).rows
+    metrics = tracing.layer_metrics(tracer, 1.0, 1.0)
+    assert len(rows) == 15
+    assert metrics["models.element_misses"] == 9   # ru, du, cu, meh, five (10, K)
+    assert tracer.self_times()["statespace.explore"][1] == 5
+    assert metrics["statespace.states"] == 988      # 946 cluster markings, 42 others
