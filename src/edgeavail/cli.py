@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     ft.add_argument("--json", action="store_true")
 
     paper = sub.add_parser("paper", help="run a bundled study and write its CSV")
-    paper.add_argument("study", choices=("table3", "fig6", "fig7", "fig8", "fig9"))
+    paper.add_argument("study", choices=tuple(xp.STUDIES))
     paper.add_argument("--out", default=None, help="CSV path ('-' for stdout)")
     paper.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
     paper.add_argument("--jobs", type=int, default=None)
@@ -170,7 +170,11 @@ def _cmd_simulate(args) -> int:
     if not 2 <= args.batches <= MAX_BATCHES:
         raise UsageError(f"--batches must be in [2, {MAX_BATCHES}]")
     if args.seed is None:
-        args.seed = int(os.environ.get("EDGEAVAIL_SEED", "12345"))
+        seed = os.environ.get("EDGEAVAIL_SEED", "12345")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            raise UsageError(f"EDGEAVAIL_SEED must be an integer, got {seed!r}") from None
     model = _load_model(args.path, _parse_overrides(args.set))
     est = simulate(model, args.reward, args.horizon, args.warmup,
                    args.batches, args.seed)
@@ -219,14 +223,7 @@ def _cmd_paper(args) -> int:
         table = md.default_table().with_overrides(**_parse_overrides(args.set))
     except (KeyError, ValueError) as err:
         raise UsageError(str(err)) from None
-    runner = {
-        "table3": lambda: xp.run_table3(table, jobs=args.jobs),
-        "fig6": lambda: xp.run_cluster_sweep(table, jobs=args.jobs),
-        "fig7": lambda: xp.run_redundancy_configs(table, jobs=args.jobs),
-        "fig8": lambda: xp.run_alpha_sweep(table, "both", jobs=args.jobs),
-        "fig9": lambda: xp.run_alpha_sweep(table, "mano", jobs=args.jobs),
-    }[args.study]
-    result = runner()
+    result = xp.STUDIES[args.study](table, jobs=args.jobs)
     out = args.out or f"{args.study}.csv"
     if out == "-":
         sys.stdout.write(result.to_csv())

@@ -139,7 +139,7 @@ def parse_model(text: str) -> SanModel:
                 cur.next()
             count_tok = cur.expect("NUMBER", expected={"an integer token count"})
             count = float(count_tok.text) * (-1 if neg else 1)
-            if count != int(count):
+            if not count.is_integer():   # false for inf too
                 raise SemanticError(f"place '{name.text}' needs an integer "
                                     f"initial count, got {count_tok.text}")
             places.append(Place(name.text, int(count)))

@@ -243,6 +243,16 @@ def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
     return _result(_evaluate(configs, t, jobs), t)
 
 
+# The bundled studies by name, each called as ``(table, jobs=...)``.
+STUDIES = {
+    "table3": run_table3,
+    "fig6": run_cluster_sweep,
+    "fig7": run_redundancy_configs,
+    "fig8": lambda t, jobs=None: run_alpha_sweep(t, "both", jobs=jobs),
+    "fig9": lambda t, jobs=None: run_alpha_sweep(t, "mano", jobs=jobs),
+}
+
+
 # ── optional single-file SVG chart of a sweep ────────────────────────────────
 
 def svg_line_chart(series: dict, path=None, title: str = "",

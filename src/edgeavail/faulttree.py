@@ -197,7 +197,7 @@ def _parse_node(cur: TokenCursor) -> FtNode:
             node = BasicEvent(name, _parse_number(cur))
         elif word == "kofn":
             k = _parse_number(cur)
-            if k != int(k):
+            if not k.is_integer():   # false for inf too
                 raise ParseError(f"k must be an integer, got {k!r}", t.line, t.column)
             children = []
             while cur.at(","):

@@ -55,6 +55,9 @@ from .san import (Activity, CaseSpec, InputSpec, Place, RewardPredicate,
 from .solver import steady_state_gth, unavailability
 from .statespace import eliminate_vanishing, explore, revalue, to_ctmc
 
+# The builders parse the same few texts on every call; the trees are immutable.
+_parse = lru_cache(maxsize=None)(parse_expression)
+
 SECOND = 1.0 / 3600.0
 MINUTE = 1.0 / 60.0
 HOUR = 1.0
@@ -188,8 +191,8 @@ def _timed(name, rate_param, src, dst):
     """Fail/repair style move: one token src -> dst at a constant-parameter rate."""
     return Activity(
         name=name,
-        rate=parse_expression(rate_param),
-        input=InputSpec(parse_expression(f"#{src} >= 1"), (take(src),)),
+        rate=_parse(rate_param),
+        input=InputSpec(_parse(f"#{src} >= 1"), (take(src),)),
         cases=(CaseSpec(1.0, (put(dst),)),),
     )
 
@@ -198,8 +201,8 @@ def _covered(name, rate_param, src, covered_dst, uncovered_dst, coverage):
     """Recovery with two cases: coverage -> covered_dst, else uncovered_dst."""
     return Activity(
         name=name,
-        rate=parse_expression(rate_param) if rate_param is not None else None,
-        input=InputSpec(parse_expression(f"#{src} >= 1"), (take(src),)),
+        rate=_parse(rate_param) if rate_param is not None else None,
+        input=InputSpec(_parse(f"#{src} >= 1"), (take(src),)),
         cases=(CaseSpec(coverage, (put(covered_dst),)),
                CaseSpec(1.0 - coverage, (put(uncovered_dst),))),
     )
@@ -229,7 +232,7 @@ def build_ru(t: IntensityTable) -> SanModel:
         _timed("FW_F", "lambda_FW", "RU_OK", "FW_failed"),
         _timed("FW_R", "mu_FW", "FW_failed", "RU_OK"),
     )
-    rewards = (RewardPredicate(UP, parse_expression("#RU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, _parse("#RU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Radio unit: hardware, antenna, firmware"))
 
@@ -255,7 +258,7 @@ def build_du(t: IntensityTable) -> SanModel:
         _timed("SW_R", "mu_SW", "SW_Urep", "DU_OK"),
         _timed("SW_res", "mu_SW_r", "SW_Ures", "DU_OK"),
     )
-    rewards = (RewardPredicate(UP, parse_expression("#DU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, _parse("#DU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Distributed unit: HW, OS, SW with restart coverage"))
 
@@ -272,9 +275,9 @@ def build_cu(t: IntensityTable) -> SanModel:
               Place("SW_Ures"))
     failover = Activity(
         name="CHW_rec",
-        rate=parse_expression("mu_HW_fo"),
+        rate=_parse("mu_HW_fo"),
         # Failover needs both a failed active unit and a ready standby.
-        input=InputSpec(parse_expression("#CHW1_failed >= 1 and #CHW2 >= 1"),
+        input=InputSpec(_parse("#CHW1_failed >= 1 and #CHW2 >= 1"),
                         (take("CHW1_failed"), take("CHW2"))),
         cases=(
             # Covered: broken unit to repair, standby takes over.
@@ -298,7 +301,7 @@ def build_cu(t: IntensityTable) -> SanModel:
         # topology: repaired hardware always returns to standby.
         _timed("CHW_R", "mu_HW", "CHW_rep", "CHW2"),
     )
-    rewards = (RewardPredicate(UP, parse_expression("#CU_OK >= 1")),)
+    rewards = (RewardPredicate(UP, _parse("#CU_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Central unit: 1+1 standby HW plus OS/SW stack"))
 
@@ -344,7 +347,7 @@ def build_meh(t: IntensityTable) -> SanModel:
         _timed("APP_R", "mu_APP", "APP_Urep", "MEH_OK"),
         _timed("APP_VMres", "mu_APP_r", "APP_Ures", "MEH_OK"),
     )
-    rewards = (RewardPredicate(UP, parse_expression("#MEH_OK >= 1")),)
+    rewards = (RewardPredicate(UP, _parse("#MEH_OK >= 1")),)
     return _finish(SanModel(places, params, acts, rewards,
                             description="Edge host: hypervisor, platform/application VMs and software"))
 
@@ -380,8 +383,8 @@ def build_cluster(t: IntensityTable) -> SanModel:
     def fail_from_working(name, rate, covered_dst, uncovered_dst, coverage):
         return Activity(
             name=name,
-            rate=parse_expression(rate),
-            input=InputSpec(parse_expression(f"#Working >= 1 and {no_crash}"), (take("Working"),)),
+            rate=_parse(rate),
+            input=InputSpec(_parse(f"#Working >= 1 and {no_crash}"), (take("Working"),)),
             cases=(CaseSpec(coverage, (put(covered_dst),)),
                    CaseSpec(1.0 - coverage, (put(uncovered_dst),))),
         )
@@ -390,19 +393,19 @@ def build_cluster(t: IntensityTable) -> SanModel:
         # Failures of already-degraded instances also stop during a crash.
         return Activity(
             name=name,
-            rate=parse_expression(rate),
-            input=InputSpec(parse_expression(f"#{src} >= 1 and {no_crash}"), (take(src),)),
+            rate=_parse(rate),
+            input=InputSpec(_parse(f"#{src} >= 1 and {no_crash}"), (take(src),)),
             cases=(CaseSpec(1.0, (put(dst),)),),
         )
 
     def crash_recovery(name, rate_param, down_place, extra=()):
         # Clears failed OS/SW instances and recounts the working pool.
         effects = tuple(extra) + (set_to("OS_Fail", 0), set_to("SW_Fail", 0),
-                                  set_to("Working", parse_expression("M - #HW_Fail")))
+                                  set_to("Working", _parse("M - #HW_Fail")))
         return Activity(
             name=name,
-            rate=parse_expression(rate_param),
-            input=InputSpec(parse_expression(f"#{down_place} >= 1"), (take(down_place),)),
+            rate=_parse(rate_param),
+            input=InputSpec(_parse(f"#{down_place} >= 1"), (take(down_place),)),
             cases=(CaseSpec(1.0, effects),),
         )
 
@@ -423,7 +426,7 @@ def build_cluster(t: IntensityTable) -> SanModel:
         crash_recovery("UOS_R", "mu_OS_r", "OS_Down"),
         crash_recovery("USW_R", "mu_SW_r", "SW_Down"),
     )
-    rewards = (RewardPredicate(UP, parse_expression(f"#Working >= K and {no_crash}")),)
+    rewards = (RewardPredicate(UP, _parse(f"#Working >= K and {no_crash}")),)
     return _finish(SanModel(
         places, params, acts, rewards,
         description=f"Control cluster: {M} instances, {K} required"))

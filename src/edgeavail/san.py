@@ -184,14 +184,25 @@ def validate(model: SanModel) -> list[str]:
 # ── compiled form (shared by the explorer and the simulator) ─────────────────
 
 class CompiledActivity:
-    __slots__ = ("name", "timed", "pred", "rate", "input_effects", "case_probs",
-                 "case_effects")
+    """An activity lowered onto marking vectors.
 
-    def __init__(self, name, timed, pred, rate, input_effects, case_probs, case_effects):
+    ``pred_cols`` and ``rate_cols`` are the sorted place columns the ``pred``
+    and ``rate`` closures read (``()`` when instantaneous, ``rate`` None).
+    Effects are ``(place, op, value_fn, columns)``, op 0/1/2 for ``+= -= =``.
+    Case ``c`` is named ``CompiledModel.labels[label + c]``.
+    """
+    __slots__ = ("name", "timed", "pred", "pred_cols", "rate", "rate_cols",
+                 "label", "input_effects", "case_probs", "case_effects")
+
+    def __init__(self, name, timed, pred, pred_cols, rate, rate_cols, label,
+                 input_effects, case_probs, case_effects):
         self.name = name
         self.timed = timed
         self.pred = pred
+        self.pred_cols = pred_cols
         self.rate = rate
+        self.rate_cols = rate_cols
+        self.label = label
         self.input_effects = input_effects
         self.case_probs = case_probs
         self.case_effects = case_effects
@@ -201,7 +212,9 @@ class CompiledModel:
     """A model lowered onto integer marking vectors in canonical place order.
 
     Canonical order is sorted place name, so identical markings hash the same
-    regardless of declaration order.
+    regardless of declaration order.  Each closure is compiled once, together
+    with the place columns it reads, and ``labels`` names every
+    ``"activity/case"`` in declaration order.
     """
 
     def __init__(self, model: SanModel):
@@ -212,24 +225,32 @@ class CompiledModel:
         self.initial = tuple(initial[name] for name in self.place_order)
         params = model.parameters
 
-        def compile_effects(effects):
-            out = []
-            for eff in effects:
-                out.append((self.index[eff.place], _OPS.index(eff.op),
-                            ex.compile_expr(eff.value, self.index, params)))
-            return tuple(out)
+        def lower(e):
+            fn = ex.compile_expr(e, self.index, params)
+            return fn, tuple(sorted(self.index[p] for p in ex.identifiers(e)[1]))
 
-        self.activities = []
+        def compile_effects(effects):
+            return tuple((self.index[eff.place], _OPS.index(eff.op), *lower(eff.value))
+                         for eff in effects)
+
+        self.activities, labels = [], []
         for a in model.activities:
+            pred, pred_cols = lower(a.input.predicate)
+            rate, rate_cols = lower(a.rate) if a.timed else (None, ())
             self.activities.append(CompiledActivity(
                 name=a.name,
                 timed=a.timed,
-                pred=ex.compile_expr(a.input.predicate, self.index, params),
-                rate=ex.compile_expr(a.rate, self.index, params) if a.timed else None,
+                pred=pred,
+                pred_cols=pred_cols,
+                rate=rate,
+                rate_cols=rate_cols,
+                label=len(labels),
                 input_effects=compile_effects(a.input.effects),
                 case_probs=tuple(c.probability for c in a.cases),
                 case_effects=tuple(compile_effects(c.effects) for c in a.cases),
             ))
+            labels += [f"{a.name}/{ci}" for ci in range(len(a.cases))]
+        self.labels = tuple(labels)
         self.timed_activities = [a for a in self.activities if a.timed]
         self.instant_activities = [a for a in self.activities if not a.timed]
         self.rewards = {r.name: ex.compile_expr(r.predicate, self.index, params)
@@ -269,7 +290,7 @@ class CompiledModel:
         """Apply input effects then the chosen case's effects, in order."""
         m = list(vec)
         for effects in (act.input_effects, act.case_effects[case_index]):
-            for place_i, op, value_fn in effects:
+            for place_i, op, value_fn, _ in effects:
                 v = value_fn(m)
                 if op == 0:
                     new = m[place_i] + v
@@ -277,8 +298,8 @@ class CompiledModel:
                     new = m[place_i] - v
                 else:
                     new = v
-                rounded = round(new)
-                if abs(new - rounded) > 1e-9:
+                rounded = round(new) if math.isfinite(new) else new
+                if not abs(new - rounded) <= 1e-9:   # NaN for inf and NaN counts
                     raise ValueError(
                         f"activity '{act.name}' drives place "
                         f"'{self.place_order[place_i]}' to non-integer count {new!r}")

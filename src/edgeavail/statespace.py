@@ -9,7 +9,8 @@ one.  ``StateGraph`` holds the edges as parallel arrays.
 
 A level of at least ``_BLOCK_MIN`` markings is expanded as one block of
 integer rows.  Each compiled predicate, rate and effect is called once per
-distinct value of the places it reads (``expr.identifiers``), and only on
+distinct value of the place columns it reads, which ``CompiledModel``
+records beside each closure when it compiles the model, and only on
 the rows where the one-step rule ``CompiledModel.moves`` calls it: timed
 predicates at tangible markings, a rate where its predicate holds, effects
 where their activity fires.  Effects are applied column-wise, and successors
@@ -55,7 +56,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (EvaluationError, NonFiniteExitRate, NotIrreducible,
                      StateSpaceExceeded, UnknownReward, VanishingLoop)
-from .expr import identifiers
 from .san import SanModel, compiled
 
 DEFAULT_MAX_STATES = 100_000
@@ -157,37 +157,6 @@ class _Replay(Exception):
     """The block path cannot reproduce this level; the scalar step will."""
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """An activity's first label and the place columns each expression reads."""
-    label: int
-    pred: tuple
-    rate: tuple
-    input_effects: tuple   # (place, op, value_fn, columns)
-    case_effects: tuple    # one tuple like input_effects per case
-
-
-def _plans(cm) -> tuple:
-    """``(plans by compiled activity, label names)`` for one exploration."""
-    def cols(e):
-        return tuple(sorted(cm.index[p] for p in identifiers(e)[1]))
-
-    def effects(lowered, specs):
-        return tuple((place, op, fn, cols(spec.value))
-                     for (place, op, fn), spec in zip(lowered, specs))
-
-    plans, labels = {}, []
-    for a, spec in zip(cm.activities, cm.model.activities):
-        plans[a] = _Plan(
-            len(labels), cols(spec.input.predicate),
-            cols(spec.rate) if a.timed else (),
-            effects(a.input_effects, spec.input.effects),
-            tuple(effects(lowered, case.effects)
-                  for lowered, case in zip(a.case_effects, spec.cases)))
-        labels += [f"{a.name}/{ci}" for ci in range(len(a.case_probs))]
-    return plans, tuple(labels)
-
-
 def _widths(A: np.ndarray) -> list:
     """Bits needed per column of the nonnegative integer rows ``A``."""
     if not len(A):
@@ -228,14 +197,14 @@ def _apply(effects: tuple, M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _expand(cm, plans: dict, X: np.ndarray) -> tuple:
+def _expand(cm, X: np.ndarray) -> tuple:
     """The scalar step on every row of ``X`` at once.
 
     Returns ``(tangible, src, label, value, successors)`` with the edges in
     the scalar step's order: by source row, then label.
     """
     n = len(X)
-    instant = [(a, _values(a.pred, plans[a].pred, X) != 0.0)
+    instant = [(a, _values(a.pred, a.pred_cols, X) != 0.0)
                for a in cm.instant_activities]
     count = np.zeros(n, dtype=np.int64)
     for _, on in instant:
@@ -249,9 +218,9 @@ def _expand(cm, plans: dict, X: np.ndarray) -> tuple:
     if T.size:
         XT = X[T]
         for a in cm.timed_activities:
-            on = _values(a.pred, plans[a].pred, XT) != 0.0
+            on = _values(a.pred, a.pred_cols, XT) != 0.0
             if on.any():
-                rate = _values(a.rate, plans[a].rate, XT[on])
+                rate = _values(a.rate, a.rate_cols, XT[on])
                 if not np.all((rate > 0.0) & (rate < np.inf)):
                     raise _Replay
                 moves.append((a, T[on], rate))
@@ -261,13 +230,12 @@ def _expand(cm, plans: dict, X: np.ndarray) -> tuple:
         live = [(ci, p) for ci, p in enumerate(a.case_probs) if p != 0.0]
         if not rows.size or not live:
             continue
-        plan = plans[a]
-        fired = _apply(plan.input_effects, X[rows])
+        fired = _apply(a.input_effects, X[rows])
         for ci, p in live:
             src.append(rows)
-            label.append(np.full(rows.size, plan.label + ci, dtype=np.int64))
+            label.append(np.full(rows.size, a.label + ci, dtype=np.int64))
             value.append(weight * p)
-            succ.append(_apply(plan.case_effects[ci], fired.copy()))
+            succ.append(_apply(a.case_effects[ci], fired.copy()))
     if not src:
         return (tangible, np.empty(0, np.int64), np.empty(0, np.int64),
                 np.empty(0), np.empty((0, X.shape[1]), np.int64))
@@ -320,13 +288,13 @@ class _Keys:
         return np.where(self.keys[at] == keys, self.ids[at], -1)
 
 
-def _block_level(cm, plans, X, lo, table: _Keys, states, max_states):
+def _block_level(cm, X, lo, table: _Keys, states, max_states):
     """Expand the level ``X`` (states ``lo ..``) as a block; changes nothing.
 
     Returns the level's tangible flags, its edges and its new markings, with
     their keys and state numbers; raises when the scalar step must replay it.
     """
-    tangible, src, label, value, S = _expand(cm, plans, X)
+    tangible, src, label, value, S = _expand(cm, X)
     keys, first, inverse = np.unique(table.of(S, states), return_index=True,
                                      return_inverse=True)
     ids = table.find(keys)
@@ -348,7 +316,6 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states!r}")
     cm = compiled(model)
-    plans, labels = _plans(cm)
     start = cm.initial
     index = {start: 0}
     states = [start]
@@ -374,14 +341,13 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
             is_tangible, moves = cm.moves(vec)
             tangible.append(is_tangible)
             for a, weight in moves:
-                base = plans[a].label
                 for ci, p in enumerate(a.case_probs):
                     if p == 0.0:
                         continue
                     src.append(i)
                     dst.append(intern(cm.fire_vec(vec, a, ci)))
                     value.append(weight * p)
-                    label.append(base + ci)
+                    label.append(a.label + ci)
         chunks.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
                        np.array(value, dtype=float), np.array(label, dtype=np.int64)))
 
@@ -391,7 +357,7 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
         if hi - lo >= _BLOCK_MIN:
             try:
                 X = found if found is not None else np.array(states[lo:hi], dtype=np.int64)
-                level = _block_level(cm, plans, X, lo, table, states, max_states)
+                level = _block_level(cm, X, lo, table, states, max_states)
             except Exception:  # the scalar replay raises the real error, if any
                 level = None
         if level is None:
@@ -409,7 +375,7 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
 
     src, dst, value, label = (np.concatenate(parts) for parts in zip(*chunks))
     return StateGraph(model, cm.place_order, states, tangible, src, dst, value,
-                      label, labels, 0)
+                      label, cm.labels, 0)
 
 
 def revalue(g: StateGraph, model: SanModel) -> StateGraph:
@@ -426,22 +392,21 @@ def revalue(g: StateGraph, model: SanModel) -> StateGraph:
     falls back to ``explore(model)``, which raises the usual error.
     """
     cm = compiled(model)
-    plans, _ = _plans(cm)
     X = np.array(g.states, dtype=np.int64)
     vanishing = np.flatnonzero(~np.array(g.tangible, dtype=bool))
     count = np.zeros(len(X), dtype=np.int64)
     value = np.empty(len(g.src))
     try:
         for a in cm.instant_activities if vanishing.size else ():
-            count[vanishing] += _values(a.pred, plans[a].pred, X[vanishing]) != 0.0
+            count[vanishing] += _values(a.pred, a.pred_cols, X[vanishing]) != 0.0
         for a in cm.activities:
-            first = plans[a].label
+            first = a.label
             at = np.flatnonzero((g.label >= first) & (g.label < first + len(a.case_probs)))
             if not at.size:
                 continue
             rows = g.src[at]
             if a.timed:
-                weight = _values(a.rate, plans[a].rate, X[rows])
+                weight = _values(a.rate, a.rate_cols, X[rows])
                 if not np.all((weight > 0.0) & (weight < np.inf)):
                     return explore(model)
             else:
@@ -519,7 +484,7 @@ def eliminate_vanishing(g: StateGraph) -> StateGraph:
             k = trapped[0]
             raise VanishingLoop(
                 f"vanishing marking {g.marking(keep[I[k]])} returns to itself "
-                f"with weight {loops[k]!r} and leaves with {s_I[k]!r}")
+                f"with weight {float(loops[k])!r} and leaves with {float(s_I[k])!r}")
         keep, vanishing = keep[R], vanishing[R]
 
     A.sum_duplicates()

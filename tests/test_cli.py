@@ -142,6 +142,15 @@ def test_simulate_env_seed(capsys, monkeypatch):
     assert kv(out)["seed"] == "777"
 
 
+def test_simulate_bad_env_seed_exits_64(capsys, monkeypatch):
+    monkeypatch.setenv("EDGEAVAIL_SEED", "abc")
+    code, out, err = run(capsys, "simulate", TWO_STATE, "--reward", "up",
+                         "--horizon", "1e4")
+    assert code == 64 and not out
+    assert err.strip().splitlines() == [
+        "usage error: EDGEAVAIL_SEED must be an integer, got 'abc'"]
+
+
 def test_simulate_single_batch_exits_64(capsys):
     code, _, err = run(capsys, "simulate", TWO_STATE, "--reward", "up",
                        "--batches", "1")
@@ -208,6 +217,28 @@ activity timed fail2 rate "lam" {
     assert lines == ["error: exit rate inf in marking {'Down': 0, 'Up': 1} is not finite"]
 
 
+def test_non_finite_initial_count_exits_1(capsys, tmp_path):
+    path = tmp_path / "inf_count.san"
+    path.write_text((DATA / "two_state.san").read_text()
+                    .replace("place Up = 1", "place Up = 1e400"))
+    code, out, err = run(capsys, "solve", str(path), "--reward", "up")
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [
+        "error: place 'Up' needs an integer initial count, got 1e400"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("value, shown", [("1e400", "inf"), ("1e400 - 1e400", "nan")])
+def test_non_finite_effect_exits_1(capsys, tmp_path, command, value, shown):
+    path = tmp_path / "inf_effect.san"
+    path.write_text((DATA / "two_state.san").read_text()
+                    .replace("case 1 { Up += 1 }", f"case 1 {{ Up += {value} }}"))
+    code, out, err = run(capsys, command, str(path), "--reward", "up")
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [
+        f"error: activity 'repair' drives place 'Up' to non-integer count {shown}"]
+
+
 def test_ft_paper_zeros(capsys):
     code, out, _ = run(capsys, "ft", "--paper",
                        *("--u-ru 0 --u-du 0 --u-cu 0 --u-meh 0 "
@@ -252,6 +283,15 @@ def test_ft_malformed_file_exits_1(capsys, tmp_path):
     bad.write_text("or(basic(a, 0.1)")
     code, _, err = run(capsys, "ft", str(bad))
     assert code == 1
+
+
+def test_ft_non_finite_k_exits_1(capsys, tmp_path):
+    bad = tmp_path / "inf_k.ft"
+    bad.write_text("kofn(1e400, basic(a, 0.1), basic(b, 0.2))")
+    code, out, err = run(capsys, "ft", str(bad))
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [
+        "error: k must be an integer, got inf at line 1, column 1"]
 
 
 def test_paper_table3_csv(capsys, tmp_path):

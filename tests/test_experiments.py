@@ -159,13 +159,11 @@ STUDY_SHA256 = {
 
 
 @pytest.mark.parametrize("study", sorted(STUDY_SHA256))
-def test_study_csvs_are_byte_identical(table, table3, study):
-    run = {
-        "table3": lambda: table3,
-        "fig6": lambda: xp.run_cluster_sweep(table, jobs=1),
-        "fig7": lambda: xp.run_redundancy_configs(table, jobs=1),
-        "fig8": lambda: xp.run_alpha_sweep(table, "both", jobs=1),
-        "fig9": lambda: xp.run_alpha_sweep(table, "mano", jobs=1),
-    }[study]
-    csv_text = run().to_csv()
+def test_study_csvs_are_byte_identical(table, study):
+    csv_text = xp.STUDIES[study](table, jobs=1).to_csv()
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == STUDY_SHA256[study]
+
+
+def test_studies_list_every_bundled_study():
+    assert sorted(xp.STUDIES) == sorted(STUDY_SHA256)
+

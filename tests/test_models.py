@@ -146,6 +146,13 @@ def test_both_cluster_kinds_share_one_cache_entry(table):
     assert element_unavailability.cache_info().misses == 5
 
 
+def test_builders_parse_each_text_once(table):
+    a = md.build_cluster(table)
+    b = md.build_cluster(table.with_overrides(M=12, K=11))
+    assert a.activities[0].input.predicate is b.activities[0].input.predicate
+    assert a.rewards[0].predicate is b.rewards[0].predicate
+
+
 def test_element_unavailability_is_cached_and_reproducible(table):
     first = element_unavailability(ElementKind.DU, table)
     again = element_unavailability(ElementKind.DU, table)

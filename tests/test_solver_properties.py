@@ -1,0 +1,79 @@
+"""GTH's dense kernel against its sparse stages on random irreducible SANs.
+
+Each SAN conserves its tokens: a ring of timed moves carries one token from
+each place to the next, which keeps the chain irreducible unless an
+instantaneous move cuts it, and a few extra timed and instantaneous moves
+carry one token between random places.
+Rates are ``10^U(-3, 2)``, either constant or times the source place's count.
+Every chain is solved twice with GTH: all in the dense kernel, and all in
+the sparse censoring stages.  The two must agree on U to roundoff.  An
+example that fails before solving (a vanishing loop, a reducible chain) is
+skipped.
+"""
+
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from edgeavail import solver  # noqa: E402
+from edgeavail.errors import EdgeavailError  # noqa: E402
+from edgeavail.expr import parse_expression as P  # noqa: E402
+from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,  # noqa: E402
+                           RewardPredicate, SanModel, put, take)
+from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc  # noqa: E402
+
+PLACES = ("A", "B", "C", "D")
+
+
+@st.composite
+def ring_sans(draw):
+    """2-4 places holding 1-6 tokens in all, a timed ring and 0-4 extra moves."""
+    places = PLACES[:draw(st.integers(2, 4))]
+    tokens = draw(st.sampled_from(range(1, 7)))
+    initial = [0] * len(places)
+    for _ in range(tokens):
+        initial[draw(st.integers(0, len(places) - 1))] += 1
+    params = {}
+
+    def rate(src):
+        name = f"r{len(params)}"
+        params[name] = 10.0 ** draw(st.floats(-3.0, 2.0))
+        return P(draw(st.sampled_from([name, f"{name} * #{src}"])))
+
+    def move(name, src, dst, timed, need):
+        return Activity(name, rate(src) if timed else None,
+                        InputSpec(P(f"#{src} >= {need}"), (take(src),)),
+                        (CaseSpec(1.0, (put(dst),)),))
+
+    activities = [move(f"ring{i}", src, places[(i + 1) % len(places)], True, 1)
+                  for i, src in enumerate(places)]
+    for i in range(draw(st.integers(0, 4))):
+        src, dst = draw(st.permutations(places))[:2]
+        activities.append(move(f"extra{i}", src, dst, draw(st.booleans()),
+                               draw(st.integers(1, 2))))
+    return SanModel(
+        places=tuple(Place(p, n) for p, n in zip(places, initial)),
+        parameters=params, activities=tuple(activities),
+        rewards=(RewardPredicate("up", P(f"#{draw(st.sampled_from(places))} >= 1")),))
+
+
+def _gth_u(chain, dense_block, min_share):
+    with mock.patch.object(solver, "_DENSE_BLOCK", dense_block), \
+            mock.patch.object(solver, "_MIN_STAGE_SHARE", min_share):
+        return solver.unavailability(chain, solver.steady_state_gth(chain))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ring_sans())
+def test_dense_and_staged_gth_agree(model):
+    try:
+        chain = to_ctmc(eliminate_vanishing(explore(model, max_states=500)), "up")
+    except EdgeavailError:
+        assume(False)
+    dense = _gth_u(chain, chain.n_states + 1, solver._MIN_STAGE_SHARE)
+    staged = _gth_u(chain, 1, 0.0)
+    assert abs(dense - staged) <= 1e-12 * abs(dense) + 1e-15

@@ -250,6 +250,19 @@ def test_vanishing_loop_detected():
         eliminate_vanishing(explore(m))
 
 
+def test_vanishing_loop_message_shows_plain_floats():
+    m = SanModel(
+        places=(Place("P", 1),),
+        parameters={},
+        activities=(Activity("spin", None, InputSpec(P("#P >= 1")), (CaseSpec(1.0),)),),
+        rewards=(RewardPredicate("up", P("#P >= 1")),),
+    )
+    with pytest.raises(VanishingLoop) as err:
+        eliminate_vanishing(explore(m))
+    assert str(err.value) == ("vanishing marking {'P': 1} returns to itself "
+                              "with weight 1.0 and leaves with 0.0")
+
+
 def _self_loop_graph(stay):
     # T0 -1-> V1; V1 stays w.p. stay and leaves for T2 with the rest; T2 -1-> T0.
     return state_graph([True, False, True],
