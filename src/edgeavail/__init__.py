@@ -8,15 +8,14 @@ studies built on them.
 """
 
 from .errors import (DenseBlockTooLarge, DivisionByZero, EdgeavailError,
-                     EvaluationError, NegativeTokens, NotConverged, NotEnabled,
+                     EvaluationError, NegativeTokens, NotConverged,
                      NotIrreducible, ParseError, SemanticError,
                      SparseStagesTooLarge, StateSpaceExceeded,
                      UnknownIdentifier, UnknownReward, VanishingLivelock,
                      VanishingLoop)
 from .expr import Expr, identifiers, parse_expression, to_text
 from .san import (Activity, CaseSpec, Effect, InputSpec, Marking, Place,
-                  RewardPredicate, SanModel, enabled_activities, fire, put,
-                  set_to, take, validate)
+                  RewardPredicate, SanModel, put, set_to, take, validate)
 from .document import parse_model, serialize_model
 from .statespace import (Ctmc, StateGraph, eliminate_vanishing, explore,
                          to_ctmc)

@@ -175,6 +175,10 @@ def _cmd_simulate(args) -> int:
             args.seed = int(seed)
         except ValueError:
             raise UsageError(f"EDGEAVAIL_SEED must be an integer, got {seed!r}") from None
+        if args.seed < 0:
+            raise UsageError(f"EDGEAVAIL_SEED must be >= 0, got {seed!r}")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     model = _load_model(args.path, _parse_overrides(args.set))
     est = simulate(model, args.reward, args.horizon, args.warmup,
                    args.batches, args.seed)

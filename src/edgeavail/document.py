@@ -189,7 +189,8 @@ def serialize_model(model: SanModel) -> str:
     """Render a validated model as document text (deterministic)."""
 
     def effects_text(effects) -> str:
-        return "; ".join(f"{e.place} {e.op} {ex.to_text(e.value)}" for e in effects)
+        body = "; ".join(f"{e.place} {e.op} {ex.to_text(e.value)}" for e in effects)
+        return f"{{ {body} }}" if body else "{ }"
 
     out = [HEADER]
     for line in model.description.split("\n"):
@@ -204,13 +205,9 @@ def serialize_model(model: SanModel) -> str:
                 if a.timed else f"activity instant {a.name}")
         out.append(head + " {")
         out.append(f"  input \"{ex.to_text(a.input.predicate)}\" "
-                   f"{{ {effects_text(a.input.effects)} }}"
-                   if a.input.effects else
-                   f"  input \"{ex.to_text(a.input.predicate)}\" {{ }}")
+                   + effects_text(a.input.effects))
         for c in a.cases:
-            body = effects_text(c.effects)
-            body = f"{{ {body} }}" if body else "{ }"
-            out.append(f"  case {ex.format_number(c.probability)} {body}")
+            out.append(f"  case {ex.format_number(c.probability)} {effects_text(c.effects)}")
         out.append("}")
     for r in model.rewards:
         out.append(f"reward {r.name} = \"{ex.to_text(r.predicate)}\"")

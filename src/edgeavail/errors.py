@@ -48,12 +48,6 @@ class NonFiniteExitRate(EvaluationError):
         super().__init__(f"exit rate {rate!r} in marking {marking} is not finite")
 
 
-class NotEnabled(EdgeavailError):
-    def __init__(self, activity):
-        self.activity = activity
-        super().__init__(f"activity '{activity}' is not enabled in this marking")
-
-
 class NegativeTokens(EdgeavailError):
     def __init__(self, place, activity):
         self.place = place

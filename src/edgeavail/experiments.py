@@ -5,12 +5,12 @@ with the system unavailability obtained from the exact (GTH) pipeline.
 Element unavailabilities are solved once per distinct parameter set and
 cached, so the fault-tree algebra dominates nothing; results are bit-for-bit
 reproducible.  The core-network and manager clusters share one model, so
-each distinct cluster table is solved once, whichever cluster uses it.  The
-cache explores each model structure once (``models.element_unavailability``):
-the studies vary K and the multipliers at M = 10, so their cluster tables
-share one marking graph and each only recomputes its weights.
-Rows are ordered by configuration, never by completion, and independent
-cluster solves can be spread over a process pool.
+each distinct cluster table is solved once, whichever cluster uses it.  A
+study's cluster tables go to ``models.element_unavailabilities`` as one
+batch, which explores each model structure once: the studies vary K and the
+multipliers at M = 10, so their cluster tables share one marking graph, each
+only recomputes its weights, and their GTH solves share one stage plan and
+stacked dense kernel.  Rows are ordered by configuration.
 
 CSV schema (at least six significant digits)::
 
@@ -19,16 +19,15 @@ CSV schema (at least six significant digits)::
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import datetime
 import hashlib
 import io
-import os
 from dataclasses import dataclass, fields
 
 from .faulttree import RedundancyConfig, u_ran, u_sys
-from .models import ElementKind, IntensityTable, element_unavailability
+from .models import (ElementKind, IntensityTable, element_unavailabilities,
+                     element_unavailability)
 
 CSV_HEADER = ("config,N_C,N_D,N_R,N_H,M_5gc,K_5gc,M_mano,K_mano,"
               "alpha_H,alpha_O,alpha_S,unavailability")
@@ -124,17 +123,10 @@ class _SystemConfig:
 
 
 def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
-    """System unavailability per configuration, cluster solves optionally pooled."""
+    """System unavailability per configuration; ``jobs`` changes nothing."""
     distinct = list(dict.fromkeys(tab for c in configs for tab in (c.t_5gc, c.t_mano)))
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(distinct)))
     # both cluster kinds build the same model, so one kind stands for both
-    kinds = [ElementKind.CLUSTER_5GC] * len(distinct)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = dict(zip(distinct, pool.map(element_unavailability, kinds, distinct)))
-    else:
-        solved = dict(zip(distinct, map(element_unavailability, kinds, distinct)))
+    solved = dict(zip(distinct, element_unavailabilities(ElementKind.CLUSTER_5GC, distinct)))
 
     base = {
         "ru": element_unavailability(ElementKind.RU, t),

@@ -23,6 +23,7 @@ evaluate lazily, so ``if #P > 0 then x / #P else y`` never divides by zero.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
@@ -394,6 +395,11 @@ def _print(e, min_prec):
 
 # ── Evaluation ───────────────────────────────────────────────────────────────
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
+
+
 def compile_expr(e: Expr, place_index: Mapping[str, int],
                  params: Mapping[str, float]) -> Callable[[Sequence[float]], float]:
     """Compile ``e`` into a closure over a marking vector (hot path).
@@ -436,12 +442,12 @@ def compile_expr(e: Expr, place_index: Mapping[str, int],
         a = compile_expr(e.left, place_index, params)
         b = compile_expr(e.right, place_index, params)
         op = e.op
-        if op == "+":
-            return lambda m: a(m) + b(m)
-        if op == "-":
-            return lambda m: a(m) - b(m)
-        if op == "*":
-            return lambda m: a(m) * b(m)
+        if op in _ARITHMETIC:
+            f = _ARITHMETIC[op]
+            return lambda m: f(a(m), b(m))
+        if op in _COMPARISONS:
+            f = _COMPARISONS[op]
+            return lambda m: 1.0 if f(a(m), b(m)) else 0.0
         if op == "/":
             where = to_text(e)
 
@@ -453,18 +459,6 @@ def compile_expr(e: Expr, place_index: Mapping[str, int],
                 return n / d
 
             return div
-        if op == "<":
-            return lambda m: 1.0 if a(m) < b(m) else 0.0
-        if op == "<=":
-            return lambda m: 1.0 if a(m) <= b(m) else 0.0
-        if op == ">":
-            return lambda m: 1.0 if a(m) > b(m) else 0.0
-        if op == ">=":
-            return lambda m: 1.0 if a(m) >= b(m) else 0.0
-        if op == "=":
-            return lambda m: 1.0 if a(m) == b(m) else 0.0
-        if op == "!=":
-            return lambda m: 1.0 if a(m) != b(m) else 0.0
         if op == "and":
             return lambda m: 1.0 if (a(m) != 0.0 and b(m) != 0.0) else 0.0
         if op == "or":

@@ -45,14 +45,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections import OrderedDict
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .expr import identifiers, parse_expression
 from .san import (Activity, CaseSpec, InputSpec, Place, RewardPredicate,
                   SanModel, put, set_to, take, validate)
-from .solver import steady_state_gth, unavailability
+# steady_state_gth stays bound for perfbench/tracing.py, which patches it here
+from .solver import steady_state_gth, steady_state_gth_many, unavailability  # noqa: F401
 from .statespace import eliminate_vanishing, explore, revalue, to_ctmc
 
 # The builders parse the same few texts on every call; the trees are immutable.
@@ -447,11 +448,6 @@ def build_element(kind: ElementKind, t: IntensityTable) -> SanModel:
     return _BUILDERS[kind](t)
 
 
-# Marking graphs by structure key, least recently used first.
-_STRUCTURES = OrderedDict()
-_STRUCTURE_ENTRIES = 8
-
-
 def structure_key(model: SanModel) -> tuple:
     """What ``model``'s marking graph depends on, as a hashable value.
 
@@ -476,54 +472,59 @@ def structure_key(model: SanModel) -> tuple:
     return tuple(model.places), tuple(activities), values
 
 
-def _marking_graph(model: SanModel):
-    """``explore(model)``, explored once per structure and revalued after that."""
-    key = structure_key(model)
-    g = _STRUCTURES.get(key)
-    if g is not None:
-        _STRUCTURES.move_to_end(key)
-        return revalue(g, model)
-    g = _STRUCTURES[key] = explore(model)
-    if len(_STRUCTURES) > _STRUCTURE_ENTRIES:
-        _STRUCTURES.popitem(last=False)
-    return g
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_SOLVED = {}     # (kind, table) -> unavailability; both cluster kinds as 5GC
+_COUNTS = Counter()    # hits, misses
 
 
-@lru_cache(maxsize=None)
-def _solve_element(kind: ElementKind, t: IntensityTable) -> float:
-    model = build_element(kind, t)
-    chain = to_ctmc(eliminate_vanishing(_marking_graph(model)), UP)
-    return unavailability(chain, steady_state_gth(chain))
+def _chains(kind: ElementKind, tables):
+    """Each table's chain, its model built as asked for; the first is explored,
+    the others (of the same structure) revalue its graph."""
+    graph = None
+    for t in tables:
+        model = build_element(kind, t)
+        graph = explore(model) if graph is None else revalue(graph, model)
+        yield to_ctmc(eliminate_vanishing(graph), UP)
 
 
-def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
-    """Full pipeline: build, explore, eliminate vanishing, solve, extract.
+def element_unavailabilities(kind: ElementKind, tables) -> list:
+    """Build, explore, eliminate vanishing, solve and extract each of
+    ``tables``, cached on ``(kind, table)``; both cluster kinds share entries.
 
-    Cached on two levels.  The first maps ``(kind, table)`` to the result;
-    both cluster kinds share one entry, since they build the same model.  A
-    miss there builds the model and looks up its marking graph by
-    :func:`structure_key`: the places and initial marking, the activities'
-    predicates, effects and nonzero cases, and the parameters those read.
-    For the cluster that holds M and which coverage factors are 0 or 1, but
-    not K, the multipliers or the rates.  Only the first model of a
-    structure is explored; later ones recompute the graph's weights
-    (``statespace.revalue``) and run the rest of the pipeline as usual.  The
-    second level keeps the ``_STRUCTURE_ENTRIES`` most recently used
-    structures.  ``cache_clear`` empties both levels; ``cache_info`` counts
-    the first.
+    Tables not cached are grouped by :func:`structure_key` (for the cluster:
+    M and which coverage factors are 0 or 1, not K, multipliers or rates),
+    and each group's chains stream through one ``steady_state_gth_many``.
+    Results are bit for bit those of each table alone; an error is raised
+    once the tables before it in its group are cached.
     """
     if kind is ElementKind.CLUSTER_MANO:
         kind = ElementKind.CLUSTER_5GC
-    return _solve_element(kind, t)
+    tables = list(tables)
+    groups = {}
+    for t in dict.fromkeys(tables):
+        if (kind, t) not in _SOLVED:
+            groups.setdefault(structure_key(build_element(kind, t)), []).append(t)
+    misses = sum(map(len, groups.values()))
+    _COUNTS.update(hits=len(tables) - misses, misses=misses)
+    for group in groups.values():
+        for t, (chain, state) in zip(group, steady_state_gth_many(_chains(kind, group))):
+            _SOLVED[kind, t] = unavailability(chain, state)
+    return [_SOLVED[kind, t] for t in tables]
+
+
+def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
+    """One table's :func:`element_unavailabilities`; ``cache_*`` as lru_cache's."""
+    return element_unavailabilities(kind, (t,))[0]
 
 
 def _cache_clear() -> None:
-    _solve_element.cache_clear()
-    _STRUCTURES.clear()
+    _SOLVED.clear()
+    _COUNTS.clear()
 
 
 element_unavailability.cache_clear = _cache_clear
-element_unavailability.cache_info = _solve_element.cache_info
+element_unavailability.cache_info = lambda: CacheInfo(
+    _COUNTS["hits"], _COUNTS["misses"], None, len(_SOLVED))
 
 
 def builtin_models(t: IntensityTable | None = None) -> dict:

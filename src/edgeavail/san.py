@@ -21,11 +21,11 @@ delay; with exponential rates this is indistinguishable from resuming.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import expr as ex
-from .errors import EvaluationError, NegativeTokens, NotEnabled
+from .errors import EvaluationError, NegativeTokens
 
 Marking = dict  # place name -> non-negative token count
 
@@ -88,12 +88,6 @@ class SanModel:
     def initial_marking(self) -> Marking:
         return {p.name: p.initial_tokens for p in self.places}
 
-    def activity(self, name: str) -> Activity:
-        for a in self.activities:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
 
 # ── helpers for building effects in code ─────────────────────────────────────
 
@@ -124,8 +118,11 @@ def validate(model: SanModel) -> list[str]:
         place_names.add(p.name)
         if p.name in ex.KEYWORDS:
             diags.append(f"place name '{p.name}' is a reserved word")
-        if p.initial_tokens < 0:
-            diags.append(f"place '{p.name}' has negative initial tokens ({p.initial_tokens})")
+        n = p.initial_tokens
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            diags.append(f"place '{p.name}' has non-integer initial tokens ({n!r})")
+        elif n < 0:
+            diags.append(f"place '{p.name}' has negative initial tokens ({n})")
 
     for name in model.parameters:
         if name in ex.KEYWORDS:
@@ -256,12 +253,6 @@ class CompiledModel:
         self.rewards = {r.name: ex.compile_expr(r.predicate, self.index, params)
                         for r in model.rewards}
 
-    def marking_tuple(self, m: Mapping[str, int]) -> tuple:
-        try:
-            return tuple(int(m[name]) for name in self.place_order)
-        except KeyError as k:
-            raise ValueError(f"marking is missing place {k.args[0]!r}") from None
-
     def marking_dict(self, vec) -> Marking:
         return {name: vec[i] for i, name in enumerate(self.place_order)}
 
@@ -317,30 +308,3 @@ def compiled(model: SanModel) -> CompiledModel:
         model._compiled = cm
     return cm
 
-
-# ── token-game operations on plain markings ──────────────────────────────────
-
-def enabled_activities(model: SanModel, m: Marking) -> list[str]:
-    """Names of activities whose input predicate holds in ``m``, in declaration order."""
-    cm = compiled(model)
-    vec = cm.marking_tuple(m)
-    return [a.name for a in cm.activities if a.pred(vec) != 0.0]
-
-
-def fire(model: SanModel, m: Marking, activity: str, case_index: int = 0) -> Marking:
-    """Fire ``activity`` with the chosen case and return the successor marking.
-
-    ``m`` itself is never modified.
-    """
-    cm = compiled(model)
-    vec = cm.marking_tuple(m)
-    for a in cm.activities:
-        if a.name == activity:
-            break
-    else:
-        raise KeyError(activity)
-    if a.pred(vec) == 0.0:
-        raise NotEnabled(activity)
-    if not 0 <= case_index < len(a.case_probs):
-        raise IndexError(f"activity '{activity}' has no case {case_index}")
-    return cm.marking_dict(cm.fire_vec(vec, a, case_index))

@@ -36,6 +36,7 @@ replication seeds are spawned from the master seed without overlap.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
@@ -60,7 +61,9 @@ class SimEstimate:
     seed: int
 
 
-def _check_common(model, reward, horizon, warmup):
+def _check_common(model, reward, horizon, warmup, seed):
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cm = compiled(model)
     if reward not in cm.rewards:
         raise ValueError(f"model has no reward named '{reward}'")
@@ -214,7 +217,7 @@ def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None 
     """
     if not 2 <= batches <= MAX_BATCHES:
         raise ValueError(f"batches must be in [2, {MAX_BATCHES}], got {batches}")
-    cm, warmup = _check_common(model, reward, horizon, warmup)
+    cm, warmup = _check_common(model, reward, horizon, warmup, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     means = _batch_uptimes(cm, cm.rewards[reward], horizon, warmup, batches, rng, {})
     point, half = _t_interval(means)
@@ -231,7 +234,7 @@ def simulate_replicated(model: SanModel, reward: str, horizon: float,
     """
     if not 2 <= replications <= MAX_BATCHES:
         raise ValueError(f"replications must be in [2, {MAX_BATCHES}], got {replications}")
-    cm, warmup = _check_common(model, reward, horizon, warmup)
+    cm, warmup = _check_common(model, reward, horizon, warmup, seed)
     reward_fn = cm.rewards[reward]
     children = np.random.SeedSequence(seed).spawn(replications)
     memo = {}

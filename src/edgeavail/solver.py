@@ -31,6 +31,7 @@ kernel stays subtraction-free (O'Cinneide 1993).  A remainder too large to
 hold densely raises ``DenseBlockTooLarge`` before it is allocated, and
 sparse stages that outgrow the same memory budget raise
 ``SparseStagesTooLarge``; the iterative path solves such chains.
+``steady_state_gth`` is the batch of one chain of ``steady_state_gth_many``.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ DEFAULT_MAX_ITER = 1_000_000
 # keeps for back-substitution (a stage's products briefly take a few times
 # that; (40,36) holds at most 26 MB).  The dense kernel works on panels of
 # _PANEL states, and applies each panel's update in column strips of the same
-# width: an (n x 32) @ (32 x 32) product and an n x 32 temporary.  OpenBLAS
-# runs such a product on one thread up to several hundred rows, so pool
-# workers solving the studies' ~270-state remainders do not compete for
-# cores; one unstripped (n x 32) @ (32 x n) product per panel did.
+# width: an (n x 32) @ (32 x 32) product and an n x 32 temporary per chain.
+# A stack holds at most _STACK_BYTES, two remainders of _DENSE_BLOCK states:
+# larger stacks gain little on the studies' 267-state remainders.
 _DENSE_BLOCK = 300
 _MIN_STAGE_SHARE = 0.03
 _DENSE_MAX = 5_000
 _PANEL = 32
 _SPARSE_MAX_BYTES = 8 * _DENSE_MAX ** 2
+_STACK_BYTES = 2 * 8 * _DENSE_BLOCK ** 2
 
 
 @dataclass
@@ -94,12 +95,10 @@ def _cut_off(state) -> NotIrreducible:
 
 
 def _gth_dense(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Blocked GTH on a dense off-diagonal rate matrix, in place.
-
-    Returns the unnormalized stationary weights with ``x[0] = 1``;
-    ``labels`` maps rows to the chain's state numbers for error messages.
-    """
-    n = A.shape[0]
+    """Blocked GTH, in place, on a stack ``(B, n, n)`` of dense off-diagonal
+    rate matrices whose rows are the states ``labels``; returns the
+    unnormalized stationary weights ``(B, n)`` with ``x[:, 0] = 1``."""
+    B, n, _ = A.shape
     # Censor states n-1 .. 1, a panel [lo, k) at a time.  Each panel state j
     # updates only the panel rows and the panel columns above the panel; the
     # rest, A[:lo, :lo], takes the panel's rank-b update afterwards, one
@@ -109,39 +108,31 @@ def _gth_dense(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
     while k > 1:
         lo = max(k - _PANEL, 1)
         for j in range(k - 1, lo - 1, -1):
-            s = A[j, :j].sum()
-            if not (s > 0.0 and np.isfinite(s)):
+            s = A[:, j, :j].sum(axis=1)
+            if not (s.min() > 0.0 and s.max() < np.inf):
                 raise _cut_off(labels[j])
-            A[:j, j] /= s
-            A[lo:j, :j] += np.outer(A[lo:j, j], A[j, :j])
-            A[:lo, lo:j] += np.outer(A[:lo, j], A[j, lo:j])
+            A[:, :j, j] /= s[:, None]
+            A[:, lo:j, :j] += A[:, lo:j, j, None] * A[:, j, None, :j]
+            A[:, :lo, lo:j] += A[:, :lo, j, None] * A[:, j, None, lo:j]
         for c in range(0, lo, _PANEL):
             e = min(c + _PANEL, lo)
-            A[:lo, c:e] += A[:lo, lo:k] @ A[lo:k, c:e]
+            A[:, :lo, c:e] += A[:, :lo, lo:k] @ A[:, lo:k, c:e]
         k = lo
     # Back substitution: expected sojourn weight relative to state 0.
-    x = np.empty(n)
-    x[0] = 1.0
-    for k in range(1, n):
-        x[k] = x[:k] @ A[:k, k]
+    x = np.empty((B, n))
+    x[:, 0] = 1.0
+    for xb, Ab in zip(x, A):
+        for k in range(1, n):
+            xb[k] = xb[:k] @ Ab[:k, k]
     return x
 
 
-def steady_state_gth(c: Ctmc) -> SteadyState:
-    """Stationary distribution by GTH elimination (subtraction-free, exact to roundoff).
-
-    Raises ``NotIrreducible`` when a state has no exit or elimination finds a
-    state cut off from the rest, ``SparseStagesTooLarge`` when the sparse
-    stages hold more than ``_SPARSE_MAX_BYTES``, and ``DenseBlockTooLarge``
-    when they leave more than ``_DENSE_MAX`` states for the dense kernel.
-    """
+def _sparse_stages(c: Ctmc, plans: dict):
+    """GTH's sparse stages: ``c``'s CSR remainder, its labels and stages."""
     n = c.n_states
-    if n == 1:
-        return SteadyState(np.ones(1), "gth", _residual(np.ones(1), c.Q))
-
     A = _off_diagonal(sp.csr_matrix(c.Q, dtype=float))
     absorbing = np.flatnonzero(~(np.asarray(A.sum(axis=1)).ravel() > 0.0))
-    if absorbing.size:
+    if absorbing.size and n > 1:      # a lone state needs no exit
         raise NotIrreducible(f"state {absorbing[0]} has zero exit rate (absorbing)")
 
     # Censor independent sets I from the states left: with A[I, I] = 0 the
@@ -150,7 +141,10 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
     stages = []
     kept = 0         # bytes of the stages kept for back-substitution
     while A.shape[0] > _DENSE_BLOCK:
-        in_set = _independent_set(A)
+        plan = plans.get(len(stages))   # the set reads only the sparsity pattern
+        if not (plan and np.array_equal(plan[0], A.indptr) and np.array_equal(plan[1], A.indices)):
+            plan = plans[len(stages)] = (A.indptr, A.indices, _independent_set(A))
+        in_set = plan[2]
         if in_set.sum() < _MIN_STAGE_SHARE * A.shape[0]:
             break
         complement, I, R, A_RI, s_I = censor(A, in_set)
@@ -167,14 +161,69 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
 
     if A.shape[0] > _DENSE_MAX:
         raise DenseBlockTooLarge(A.shape[0], _DENSE_MAX)
-    x = _gth_dense(A.toarray(), labels)
-    for I, R, A_RI, s_I in reversed(stages):
-        full = np.empty(I.size + R.size)
-        full[R] = x
-        full[I] = (x @ A_RI) / s_I
-        x = full
-    pi = x / x.sum()
-    return SteadyState(pi, "gth", _residual(pi, c.Q))
+    return A, labels, stages
+
+
+def _solve_stack(jobs: list):
+    """Yields ``(chain, SteadyState)`` for ``jobs``, their remainders stacked."""
+    if not jobs:
+        return
+    stack = np.empty((len(jobs), len(jobs[0][2]), len(jobs[0][2])))
+    for dense, job in zip(stack, jobs):
+        job[1].toarray(out=dense)     # no second copy of the stack
+    try:
+        X = _gth_dense(stack, jobs[0][2])
+    except NotIrreducible:
+        if len(jobs) == 1:
+            raise
+        X = None    # a state is cut off: solve one by one, so the first such chain names it
+    for i, (c, _, _, stages) in enumerate(jobs):
+        if X is None:
+            yield from _solve_stack([jobs[i]])
+            continue
+        x = X[i]
+        for I, R, A_RI, s_I in reversed(stages):
+            full = np.empty(I.size + R.size)
+            full[R] = x
+            full[I] = (x @ A_RI) / s_I
+            x = full
+        pi = x / x.sum()
+        yield c, SteadyState(pi, "gth", _residual(pi, c.Q))
+
+
+def steady_state_gth_many(chains):
+    """``(chain, steady_state_gth(chain))`` for each of ``chains``, in order,
+    bit for bit; an error is raised once the chains before it are yielded.
+
+    Symbolic and numeric work split as in sparse direct solvers (Davis 2006,
+    ch. 1): a stage's independent set is reused while the sparsity pattern
+    repeats, and consecutive remainders of the same size are stacked, up
+    to ``_STACK_BYTES``; only the current stack's chains are held.
+    """
+    plans, jobs = {}, []
+    try:
+        for c in chains:
+            job = (c, *_sparse_stages(c, plans))   # chain, remainder, labels, stages
+            if jobs and not (len(job[2]) == len(jobs[0][2])
+                             and 8 * (len(jobs) + 1) * len(job[2]) ** 2 <= _STACK_BYTES):
+                done, jobs = jobs, []
+                yield from _solve_stack(done)
+            jobs.append(job)
+    except Exception:
+        yield from _solve_stack(jobs)
+        raise
+    yield from _solve_stack(jobs)
+
+
+def steady_state_gth(c: Ctmc) -> SteadyState:
+    """Stationary distribution by GTH elimination (subtraction-free, exact to roundoff).
+
+    Raises ``NotIrreducible`` when a state has no exit or elimination finds a
+    state cut off from the rest, ``SparseStagesTooLarge`` when the sparse
+    stages hold more than ``_SPARSE_MAX_BYTES``, and ``DenseBlockTooLarge``
+    when they leave more than ``_DENSE_MAX`` states for the dense kernel.
+    """
+    return next(steady_state_gth_many((c,)))[1]
 
 
 def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,

@@ -427,8 +427,10 @@ def _off_diagonal(M) -> sp.csr_matrix:
 
 
 def _independent_set(A: sp.csr_matrix) -> np.ndarray:
-    """Greedy independent set of ``A``'s graph, lowest degree first, as a mask."""
-    S = (A + A.T).tocsr()
+    """Greedy independent set of ``A``'s pattern (a stored zero is an edge),
+    lowest degree first, as a mask."""
+    P = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    S = (P + P.T).tocsr()
     indptr, indices = S.indptr, S.indices
     taken = np.zeros(A.shape[0], dtype=bool)
     blocked = np.zeros(A.shape[0], dtype=bool)

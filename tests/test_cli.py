@@ -151,6 +151,17 @@ def test_simulate_bad_env_seed_exits_64(capsys, monkeypatch):
         "usage error: EDGEAVAIL_SEED must be an integer, got 'abc'"]
 
 
+def test_simulate_negative_seed_exits_64(capsys, monkeypatch):
+    code, out, err = run(capsys, "simulate", TWO_STATE, "--reward", "up",
+                         "--seed", "-1")
+    assert code == 64 and not out
+    assert err.strip().splitlines() == ["usage error: --seed must be >= 0"]
+    monkeypatch.setenv("EDGEAVAIL_SEED", "-3")
+    code, out, err = run(capsys, "simulate", TWO_STATE, "--reward", "up")
+    assert code == 64 and not out
+    assert err.strip().splitlines() == ["usage error: EDGEAVAIL_SEED must be >= 0, got '-3'"]
+
+
 def test_simulate_single_batch_exits_64(capsys):
     code, _, err = run(capsys, "simulate", TWO_STATE, "--reward", "up",
                        "--batches", "1")

@@ -161,7 +161,7 @@ def test_element_unavailability_is_cached_and_reproducible(table):
     assert element_unavailability(ElementKind.DU, table) == first
 
 
-# ── the structure level of the element cache ────────────────────────────────
+# ── batches of the element cache ────────────────────────────────────────────
 
 _KINDS = (ElementKind.RU, ElementKind.DU, ElementKind.CU, ElementKind.MEH,
           ElementKind.CLUSTER_5GC)
@@ -192,35 +192,48 @@ def counted_explore(monkeypatch):
     element_unavailability.cache_clear()
 
 
-def _assert_same_chain(model):
-    cold = to_ctmc(eliminate_vanishing(explore(model)), "up")
-    warm = to_ctmc(eliminate_vanishing(md._marking_graph(model)), "up")
-    assert warm.states == cold.states
-    assert np.array_equal(warm.Q.toarray(), cold.Q.toarray())
-    assert np.array_equal(warm.reward, cold.reward)
+def _assert_same_chains(kind, tables):
+    warm = md._chains(kind, tables)
+    for t, chain in zip(tables, warm, strict=True):
+        cold = to_ctmc(eliminate_vanishing(explore(md.build_element(kind, t))), "up")
+        assert chain.states == cold.states
+        assert np.array_equal(chain.Q.toarray(), cold.Q.toarray())
+        assert np.array_equal(chain.reward, cold.reward)
 
 
 def test_structure_level_gives_cold_results_for_every_kind(table, counted_explore):
     for kind in _KINDS:
-        for overrides in ({}, *_VARIED):
-            t = table.with_overrides(**overrides)
-            assert element_unavailability(kind, t) == _solve(md.build_element(kind, t))
-            _assert_same_chain(md.build_element(kind, t))
+        tables = [table.with_overrides(**overrides) for overrides in ({}, *_VARIED)]
+        assert (md.element_unavailabilities(kind, tables)
+                == [_solve(md.build_element(kind, t)) for t in tables])
     # one exploration per kind; every other table was revalued
     assert len(counted_explore) == len(_KINDS)
+    for kind in _KINDS:
+        _assert_same_chains(kind, [table.with_overrides(**o) for o in ({}, *_VARIED)])
 
 
 @pytest.mark.parametrize("M, K", [(8, 5), (10, 9), (12, 11), (15, 13)])
 def test_structure_level_on_cluster_sizes(table, counted_explore, M, K):
     base = table.with_overrides(M=M, K=K)
-    element_unavailability(ElementKind.CLUSTER_5GC, base)
-    for overrides in ({"K": K - 1}, {"K": M, "alpha_S": 50.0},
-                      {"alpha_H": 0.02, "alpha_O": 30.0, "C_OS": 0.4}):
-        t = base.with_overrides(**overrides)
-        assert (element_unavailability(ElementKind.CLUSTER_MANO, t)
-                == _solve(md.build_cluster(t)))
-        _assert_same_chain(md.build_cluster(t))
+    tables = [base] + [base.with_overrides(**overrides) for overrides in (
+        {"K": K - 1}, {"K": M, "alpha_S": 50.0},
+        {"alpha_H": 0.02, "alpha_O": 30.0, "C_OS": 0.4})]
+    assert (md.element_unavailabilities(ElementKind.CLUSTER_MANO, tables)
+            == [_solve(md.build_cluster(t)) for t in tables])
     assert len(counted_explore) == 1
+    _assert_same_chains(ElementKind.CLUSTER_5GC, tables)
+
+
+def test_batch_explores_each_structure_once_and_keeps_order(table, counted_explore):
+    # M = 8 and M = 10 interleaved, one table twice, one already cached
+    cached = table.with_overrides(K=7)
+    element_unavailability(ElementKind.CLUSTER_5GC, cached)
+    tables = [table.with_overrides(M=m, K=k) for m, k in ((8, 7), (10, 9), (8, 6), (10, 8))]
+    batch = tables + [tables[1], cached]
+    got = md.element_unavailabilities(ElementKind.CLUSTER_5GC, batch)
+    assert got == [_solve(md.build_cluster(t)) for t in batch]
+    assert len(counted_explore) == 1 + 2
+    assert element_unavailability.cache_info() == (2, 5, None, 5)
 
 
 def test_structure_key_holds_what_the_graph_depends_on(table):
@@ -233,9 +246,11 @@ def test_structure_key_holds_what_the_graph_depends_on(table):
 
 def test_overflowing_rate_raises_as_a_cold_solve_does(table, counted_explore):
     bad = table.with_overrides(alpha_S=1e308, lambda_SW=1e3)
-    element_unavailability(ElementKind.CLUSTER_5GC, table)
     with pytest.raises(EvaluationError) as warm:
-        element_unavailability(ElementKind.CLUSTER_5GC, bad)
+        md.element_unavailabilities(ElementKind.CLUSTER_5GC,
+                                    [table, bad, table.with_overrides(K=8)])
+    # the table before the bad one was solved and cached, the one after was not
+    assert element_unavailability.cache_info().currsize == 1
     element_unavailability.cache_clear()
     with pytest.raises(EvaluationError) as cold:
         element_unavailability(ElementKind.CLUSTER_5GC, bad)
@@ -243,24 +258,11 @@ def test_overflowing_rate_raises_as_a_cold_solve_does(table, counted_explore):
     assert str(warm.value) == str(cold.value)
 
 
-def test_cache_clear_empties_both_levels(table, counted_explore):
+def test_cache_clear_empties_the_cache_and_its_counts(table, counted_explore):
     element_unavailability(ElementKind.RU, table)
-    assert md._STRUCTURES and element_unavailability.cache_info().currsize == 1
+    element_unavailability(ElementKind.RU, table)
+    assert element_unavailability.cache_info() == (1, 1, None, 1)
     element_unavailability.cache_clear()
-    assert not md._STRUCTURES and element_unavailability.cache_info().currsize == 0
+    assert element_unavailability.cache_info() == (0, 0, None, 0)
     element_unavailability(ElementKind.RU, table)
     assert len(counted_explore) == 2
-
-
-def test_structure_level_is_bounded(table, counted_explore):
-    sizes = range(1, md._STRUCTURE_ENTRIES + 4)
-    for m in sizes:
-        element_unavailability(ElementKind.CLUSTER_5GC, table.with_overrides(M=m, K=1))
-    assert len(md._STRUCTURES) == md._STRUCTURE_ENTRIES
-    kept = {g.n_states for g in md._STRUCTURES.values()}
-    assert kept == {explore(md.build_cluster(table.with_overrides(M=m, K=1))).n_states
-                    for m in sizes[-md._STRUCTURE_ENTRIES:]}
-    # the least recently used structure went first: M = 1 is explored again
-    element_unavailability(ElementKind.CLUSTER_5GC,
-                           table.with_overrides(M=1, K=1, mu_HW=5.0))
-    assert len(counted_explore) == len(sizes) + 1

@@ -3,11 +3,11 @@
 import pytest
 
 from edgeavail import models as md
-from edgeavail.errors import NegativeTokens, NotEnabled
+from edgeavail.errors import NegativeTokens
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
-                           RewardPredicate, SanModel, enabled_activities,
-                           fire, put, take, validate)
+                           RewardPredicate, SanModel, compiled, put, take,
+                           validate)
 from edgeavail.statespace import explore
 
 from conftest import two_state_model
@@ -55,42 +55,60 @@ def test_validate_reports_each_violation():
         assert needle in diags, f"missing diagnostic {needle!r} in:\n{diags}"
 
 
+@pytest.mark.parametrize("count", [1.5, True, float("nan"), "1"])
+def test_validate_reports_non_integer_initial_tokens(count):
+    m = _model([_activity("go", (CaseSpec(1.0, (put("B"),)),))],
+               places=(Place("A", count), Place("B", 0)))
+    assert validate(m) == [f"place 'A' has non-integer initial tokens ({count!r})"]
+
+
 def test_builtin_models_validate_clean(table):
     for name, model in md.builtin_models(table).items():
         assert validate(model) == [], name
 
 
+def _vec(model, marking):
+    cm = compiled(model)
+    return tuple(marking[name] for name in cm.place_order)
+
+
+def enabled(model, marking):
+    """Names of the activities whose predicate holds in ``marking``."""
+    vec = _vec(model, marking)
+    return [a.name for a in compiled(model).activities if a.pred(vec) != 0.0]
+
+
+def fire(model, marking, activity, case_index=0):
+    """The marking after ``activity`` fires with the chosen case."""
+    cm = compiled(model)
+    act = next(a for a in cm.activities if a.name == activity)
+    return cm.marking_dict(cm.fire_vec(_vec(model, marking), act, case_index))
+
+
 def test_enabled_activities_two_state(two_state):
-    assert enabled_activities(two_state, {"Up": 1, "Down": 0}) == ["fail"]
-    assert enabled_activities(two_state, {"Up": 0, "Down": 1}) == ["repair"]
-
-
-def test_enabled_requires_complete_marking(two_state):
-    with pytest.raises(ValueError):
-        enabled_activities(two_state, {"Up": 1})
+    cm = compiled(two_state)
+    assert cm.place_order == ("Down", "Up")
+    for vec, name, rate in (((0, 1), "fail", 0.1), ((1, 0), "repair", 0.9)):
+        tangible, moves = cm.moves(vec)
+        assert tangible and [(a.name, w) for a, w in moves] == [(name, rate)]
 
 
 def test_fire_two_state(two_state):
-    m0 = {"Up": 1, "Down": 0}
-    m1 = fire(two_state, m0, "fail", 0)
-    assert m1 == {"Up": 0, "Down": 1}
-    assert m0 == {"Up": 1, "Down": 0}  # input marking untouched
-    assert fire(two_state, m1, "repair", 0) == m0
+    cm = compiled(two_state)
+    fail, repair = cm.activities
+    assert cm.fire_vec((0, 1), fail, 0) == (1, 0)
+    assert cm.fire_vec((1, 0), repair, 0) == (0, 1)
 
 
 def test_fire_is_pure(two_state):
-    m0 = {"Up": 1, "Down": 0}
-    assert fire(two_state, m0, "fail", 0) == fire(two_state, m0, "fail", 0)
-
-
-def test_fire_disabled_raises(two_state):
-    with pytest.raises(NotEnabled):
-        fire(two_state, {"Up": 0, "Down": 1}, "fail", 0)
+    cm = compiled(two_state)
+    assert cm.fire_vec((0, 1), cm.activities[0], 0) == cm.fire_vec((0, 1), cm.activities[0], 0)
 
 
 def test_fire_bad_case_index(two_state):
+    cm = compiled(two_state)
     with pytest.raises(IndexError):
-        fire(two_state, {"Up": 1, "Down": 0}, "fail", 3)
+        cm.fire_vec((0, 1), cm.activities[0], 3)
 
 
 def test_fire_negative_tokens_detected():
@@ -119,13 +137,13 @@ def test_cluster_crash_token_blocks_all_failures(table):
     m = cluster.initial_marking()
     crashed = fire(cluster, m, "HW_F1", 1)      # uncovered hardware failure
     assert crashed["HW_Down"] == 1 and crashed["Working"] == 2
-    enabled = enabled_activities(cluster, crashed)
-    assert enabled == ["UHW_R"], enabled        # only the crash recovery runs
+    running = enabled(cluster, crashed)
+    assert running == ["UHW_R"], running        # only the crash recovery runs
     # degraded-instance failures are blocked too
     degraded = fire(cluster, fire(cluster, m, "OS_F1", 0), "SW_F", 1)
     assert degraded["SW_Down"] == 1 and degraded["OS_Fail"] == 1
-    assert "HW_F2" not in enabled_activities(cluster, degraded)
-    assert "OS_F2" not in enabled_activities(cluster, degraded)
+    assert "HW_F2" not in enabled(cluster, degraded)
+    assert "OS_F2" not in enabled(cluster, degraded)
 
 
 def test_cluster_crash_recovery_resets_failed_software(table):
@@ -188,14 +206,13 @@ def test_valid_models_never_raise_on_reachable_markings(table):
         if name == "cluster":
             model = md.build_cluster(table.with_overrides(M=3, K=2))
         assert validate(model) == []
-        g = explore(model)
-        for i in range(g.n_states):
-            marking = g.marking(i)
-            for act_name in enabled_activities(model, marking):
-                act = model.activity(act_name)
-                for ci in range(len(act.cases)):
-                    if act.cases[ci].probability > 0:
-                        fire(model, marking, act_name, ci)
+        cm = compiled(model)
+        for vec in explore(model).states:
+            for act in cm.activities:
+                if act.pred(vec) != 0.0:
+                    for ci, p in enumerate(act.case_probs):
+                        if p > 0:
+                            cm.fire_vec(vec, act, ci)
 
 
 def test_two_state_builder_matches_fixture_document():

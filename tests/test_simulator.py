@@ -145,6 +145,13 @@ def test_replications_above_the_cap_fail_fast(two_state):
                             replications=simulator.MAX_BATCHES + 1, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seed_must_be_a_non_negative_integer(two_state, seed):
+    for run in (simulate, simulate_replicated):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
+            run(two_state, "up", horizon=1e4, seed=seed)
+
+
 def test_batches_must_be_at_least_two(two_state):
     with pytest.raises(ValueError):
         simulate(two_state, "up", horizon=1e4, batches=1, seed=1)
@@ -226,7 +233,7 @@ def test_bad_rate_rejected_by_explore_and_simulate(k):
     # "extra" adds rate k beside repair's 0.9 in the Down marking; a total
     # that stays positive must not hide the bad rate from the simulator
     base = two_state_model()
-    repair = base.activity("repair")
+    fail, repair = base.activities
     m = SanModel(
         places=base.places,
         parameters={**base.parameters, "k": k},
@@ -245,7 +252,7 @@ def test_overflowing_exit_rate_rejected_by_to_ctmc_and_simulate():
     # two enabled 1e308 rates are each finite, but their sum is not; left
     # unchecked, GTH gives pi = [0, nan] and U = 0, and the simulator 0.0
     base = two_state_model(lam=1e308)
-    fail = base.activity("fail")
+    fail, _ = base.activities
     m = SanModel(places=base.places, parameters=base.parameters,
                  activities=base.activities + (Activity("fail2", fail.rate, fail.input,
                                                         fail.cases),),

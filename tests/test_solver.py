@@ -164,6 +164,46 @@ def test_gth_rejects_two_closed_rings(size):
         steady_state_gth(_hand_chain(src, dst, 2 * size))
 
 
+@pytest.mark.parametrize("bad", ["cut_off", "absorbing"])
+def test_batch_yields_every_chain_before_a_failing_one(bad):
+    # three 60-state chains: the failing one shares the others' dense stack
+    # (cut off) or fails before its remainder is stacked (absorbing)
+    n = 60
+    states = np.arange(n)
+    ring = _hand_chain(states, np.roll(states, -1), n)
+    if bad == "cut_off":
+        broken = _hand_chain(states, 30 * (states // 30) + (states + 1) % 30, n)
+    else:
+        broken = _hand_chain(states[1:], states[1:] - 1, n)
+    with pytest.raises(NotIrreducible) as alone:
+        steady_state_gth(broken)
+    many = solver.steady_state_gth_many([ring, broken, ring])
+    chain, state = next(many)
+    assert chain is ring
+    assert np.array_equal(state.distribution, steady_state_gth(ring).distribution)
+    with pytest.raises(NotIrreducible) as batched:
+        next(many)
+    assert str(batched.value) == str(alone.value)
+
+
+def _chord_chain(chord):
+    """A ring 0 -> 1 -> 2 -> 3 -> 0 and a chord 0 -> 2 of rate ``chord``, stored even if 0."""
+    data = [-(1.0 + chord), 1.0, chord, -2.0, 2.0, -3.0, 3.0, 4.0, -4.0]
+    Q = sp.csr_matrix((data, [0, 1, 2, 1, 2, 2, 3, 0, 3], [0, 3, 5, 7, 9]), shape=(4, 4))
+    return Ctmc([(i,) for i in range(4)], ("s",), Q, np.ones(4), "up")
+
+
+def test_batch_reuses_stage_sets_by_pattern_not_values(monkeypatch):
+    # both chains store the chord, the first as an explicit zero, so they share
+    # a sparsity pattern and the second reuses the first's stage sets; those
+    # must count the stored zero as an edge, or {0, 2} would be censored at once
+    monkeypatch.setattr(solver, "_DENSE_BLOCK", 1)
+    chains = [_chord_chain(0.0), _chord_chain(5.0)]
+    assert chains[0].Q.nnz == chains[1].Q.nnz == 9
+    for c, (_, state) in zip(chains, solver.steady_state_gth_many(chains), strict=True):
+        assert np.array_equal(state.distribution, steady_state_gth(c).distribution)
+
+
 @pytest.mark.parametrize("n", [5, 1000])
 def test_gth_rejects_absorbing_state_zero(n):
     # every state drains into state 0, which has no exit: reducible at any size
@@ -207,6 +247,36 @@ def _gth_dense_unblocked(A, labels):
     return x
 
 
+def gth_dense_one(A, labels):
+    """The blocked kernel on one 2-D matrix: the reference that each chain
+    of a stack must match bit for bit."""
+    n = A.shape[0]
+    k = n
+    while k > 1:
+        lo = max(k - solver._PANEL, 1)
+        for j in range(k - 1, lo - 1, -1):
+            s = A[j, :j].sum()
+            if not (s > 0.0 and np.isfinite(s)):
+                raise solver._cut_off(labels[j])
+            A[:j, j] /= s
+            A[lo:j, :j] += np.outer(A[lo:j, j], A[j, :j])
+            A[:lo, lo:j] += np.outer(A[:lo, j], A[j, lo:j])
+        for c in range(0, lo, solver._PANEL):
+            e = min(c + solver._PANEL, lo)
+            A[:lo, c:e] += A[:lo, lo:k] @ A[lo:k, c:e]
+        k = lo
+    x = np.empty(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    return x
+
+
+def per_chain(kernel):
+    """A 2-D ``kernel`` applied to each matrix of a stack, as ``_gth_dense`` is called."""
+    return lambda A, labels: np.stack([kernel(a, labels) for a in A])
+
+
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 65, 300])
 def test_blocked_gth_matches_unblocked_reference(n):
     # one panel, the panel edges, and a ragged last panel; rates 1e-6 .. 1e2
@@ -215,16 +285,28 @@ def test_blocked_gth_matches_unblocked_reference(n):
     A[np.arange(n), (np.arange(n) + 1) % n] = 10.0 ** rng.uniform(-6, 2, n)
     np.fill_diagonal(A, 0.0)
     labels = np.arange(n)
-    got = solver._gth_dense(A.copy(), labels)
+    got = solver._gth_dense(A[None].copy(), labels)[0]
     expected = _gth_dense_unblocked(A.copy(), labels)
     got, expected = got / got.sum(), expected / expected.sum()
     assert np.max(np.abs(got - expected) / expected) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 33, 267])
+def test_stacked_gth_equals_each_chain_alone(n):
+    rng = np.random.default_rng(n)
+    stack = np.where(rng.random((3, n, n)) < 0.1, 10.0 ** rng.uniform(-6, 2, (3, n, n)), 0.0)
+    stack[:, np.arange(n), (np.arange(n) + 1) % n] = 10.0 ** rng.uniform(-6, 2, (3, n))
+    stack[:, np.arange(n), np.arange(n)] = 0.0
+    labels = np.arange(n)
+    got = solver._gth_dense(stack.copy(), labels)
+    for A, x in zip(stack, got):
+        assert np.array_equal(x, gth_dense_one(A.copy(), labels))
+
+
 def _u_both_kernels(c, monkeypatch):
     blocked = unavailability(c, steady_state_gth(c))
     with monkeypatch.context() as m:
-        m.setattr(solver, "_gth_dense", _gth_dense_unblocked)
+        m.setattr(solver, "_gth_dense", per_chain(_gth_dense_unblocked))
         reference = unavailability(c, steady_state_gth(c))
     return blocked, reference
 
@@ -265,7 +347,7 @@ def test_stage_rule_keeps_cluster_30_27_remainder_dense(table, monkeypatch):
     # a retune of the sparse stages must not turn this exact solve into
     # DenseBlockTooLarge; the dense kernel itself is skipped
     def remainder(A, labels):
-        raise _Remainder(A.shape[0])
+        raise _Remainder(A.shape[-1])
 
     monkeypatch.setattr(solver, "_gth_dense", remainder)
     with deadline(30):

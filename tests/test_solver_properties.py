@@ -9,22 +9,33 @@ Every chain is solved twice with GTH: all in the dense kernel, and all in
 the sparse censoring stages.  The two must agree on U to roundoff.  An
 example that fails before solving (a vanishing loop, a reducible chain) is
 skipped.
+
+Batches of such chains, some of them the same SAN at other rates (so the
+same sparsity pattern), must solve in ``steady_state_gth_many`` exactly as
+one at a time, with stages down to one state and stacks that flush often.
+The cluster ladder's rungs must solve bit for bit as with the dense kernel
+on one matrix at a time.
 """
 
+import dataclasses
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from edgeavail import models as md  # noqa: E402
 from edgeavail import solver  # noqa: E402
 from edgeavail.errors import EdgeavailError  # noqa: E402
 from edgeavail.expr import parse_expression as P  # noqa: E402
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,  # noqa: E402
                            RewardPredicate, SanModel, put, take)
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc  # noqa: E402
+
+from test_solver import gth_dense_one, per_chain  # noqa: E402
 
 PLACES = ("A", "B", "C", "D")
 
@@ -77,3 +88,74 @@ def test_dense_and_staged_gth_agree(model):
     dense = _gth_u(chain, chain.n_states + 1, solver._MIN_STAGE_SHARE)
     staged = _gth_u(chain, 1, 0.0)
     assert abs(dense - staged) <= 1e-12 * abs(dense) + 1e-15
+
+
+@st.composite
+def ring_batches(draw):
+    """1-4 ring SANs, each followed by 0-2 copies with every rate rescaled."""
+    batch = []
+    for model in draw(st.lists(ring_sans(), min_size=1, max_size=4)):
+        batch.append(model)
+        for _ in range(draw(st.integers(0, 2))):
+            factor = 2.0 ** draw(st.floats(-1.0, 1.0))
+            batch.append(dataclasses.replace(model, parameters={
+                name: value * factor for name, value in model.parameters.items()}))
+    return batch
+
+
+def _one_at_a_time(chains):
+    states = []
+    for c in chains:
+        try:
+            states.append(solver.steady_state_gth(c))
+        except EdgeavailError as err:
+            return states, str(err)
+    return states, None
+
+
+def _batched(chains):
+    states = []
+    try:
+        for c, state in solver.steady_state_gth_many(chains):
+            assert c is chains[len(states)]
+            states.append(state)
+    except EdgeavailError as err:
+        return states, str(err)
+    return states, None
+
+
+@pytest.mark.parametrize("dense_block, stack_bytes", [(1, 40), (solver._DENSE_BLOCK,
+                                                                solver._STACK_BYTES)])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(batch=ring_batches())
+def test_batch_solves_each_chain_as_alone(batch, dense_block, stack_bytes):
+    chains = []
+    for model in batch:
+        try:
+            chains.append(to_ctmc(eliminate_vanishing(explore(model, max_states=500)), "up"))
+        except EdgeavailError:
+            pass
+    assume(chains)
+    with mock.patch.object(solver, "_DENSE_BLOCK", dense_block), \
+            mock.patch.object(solver, "_STACK_BYTES", stack_bytes):
+        alone, alone_error = _one_at_a_time(chains)
+        batched, batched_error = _batched(chains)
+    assert batched_error == alone_error
+    assert len(batched) == len(alone)
+    for got, expected in zip(batched, alone):
+        assert np.array_equal(got.distribution, expected.distribution)
+        assert got.residual == expected.residual
+
+
+@pytest.mark.parametrize("M, K", [(10, 9), (12, 11), (15, 13), (20, 18)])
+def test_ladder_rungs_solve_as_the_one_matrix_kernel(table, M, K):
+    tables = [table.with_overrides(M=M, K=K),
+              table.with_overrides(M=M, K=K, alpha_S=10.0, lambda_HW=0.01)]
+    chains = [to_ctmc(eliminate_vanishing(explore(md.build_cluster(t))), "up")
+              for t in tables]
+    batched = [state for _, state in solver.steady_state_gth_many(chains)]
+    with mock.patch.object(solver, "_gth_dense", per_chain(gth_dense_one)):
+        reference = [solver.steady_state_gth(c) for c in chains]
+    for got, expected in zip(batched, reference, strict=True):
+        assert np.array_equal(got.distribution, expected.distribution)
+        assert got.residual == expected.residual
