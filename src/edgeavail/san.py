@@ -124,9 +124,11 @@ def validate(model: SanModel) -> list[str]:
         elif n < 0:
             diags.append(f"place '{p.name}' has negative initial tokens ({n})")
 
-    for name in model.parameters:
+    for name, value in model.parameters.items():
         if name in ex.KEYWORDS:
             diags.append(f"parameter name '{name}' is a reserved word")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            diags.append(f"parameter '{name}' is not a finite number ({value!r})")
         if name in place_names:
             diags.append(f"name '{name}' declared as both a parameter and a place")
 

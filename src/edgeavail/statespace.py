@@ -13,9 +13,11 @@ distinct value of the place columns it reads, which ``CompiledModel``
 records beside each closure when it compiles the model, and only on
 the rows where the one-step rule ``CompiledModel.moves`` calls it: timed
 predicates at tangible markings, a rate where its predicate holds, effects
-where their activity fires.  Effects are applied column-wise, and successors
-are deduplicated by packing each marking into an integer key.  Smaller
-levels run ``moves`` and ``fire_vec`` marking by marking (the scalar step).
+where their activity fires.  Effects are applied column-wise.  A level's
+successors are deduplicated on integer keys sized to that level's counts,
+and each distinct one is numbered through the one marking-to-state dict that
+the scalar step interns into.  Smaller levels run ``moves`` and
+``fire_vec`` marking by marking (the scalar step).
 If the block raises, or would cross ``max_states``, the level is replayed
 with the scalar step, so every error carries the type, message and marking
 the scalar step gives it.  Either way states are numbered in order of first
@@ -49,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -245,66 +248,26 @@ def _expand(cm, X: np.ndarray) -> tuple:
             np.concatenate(succ)[order])
 
 
-class _Keys:
-    """Sorted integer keys of the states explored so far, for block lookups.
-
-    A key packs a marking's counts into one bit field per place.  When a count
-    outgrows its field, the fields widen (with a bit to spare) and every
-    state is keyed again.
-    """
-
-    def __init__(self, n_places: int):
-        self.widths = [0] * n_places
-        self.keyed = 0                       # states[:keyed] are in the table
-        self.keys = np.empty(0, np.int64)
-        self.ids = np.empty(0, np.int64)
-
-    def of(self, S: np.ndarray, states: list) -> np.ndarray:
-        """Keys of the rows ``S``, after adding every state not yet keyed."""
-        fresh = np.array(states[self.keyed:], dtype=np.int64).reshape(-1, len(self.widths))
-        need = [max(a, b) for a, b in zip(_widths(S), _widths(fresh))]
-        if any(n > w for n, w in zip(need, self.widths)):
-            widths = [max(n + 1, w) for n, w in zip(need, self.widths)]
-            if sum(widths) > 63:
-                raise _Replay
-            self.widths, self.keyed = widths, 0
-            self.keys, self.ids = np.empty(0, np.int64), np.empty(0, np.int64)
-            fresh = np.array(states, dtype=np.int64).reshape(-1, len(widths))
-        self.add(_pack(fresh, self.widths), np.arange(self.keyed, len(states)))
-        return _pack(S, self.widths)
-
-    def add(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        order = np.argsort(keys, kind="stable")
-        at = np.searchsorted(self.keys, keys[order])
-        self.keys = np.insert(self.keys, at, keys[order])
-        self.ids = np.insert(self.ids, at, ids[order])
-        self.keyed += keys.size
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The state of each key, or -1."""
-        if not self.keys.size:
-            return np.full(keys.size, -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        return np.where(self.keys[at] == keys, self.ids[at], -1)
-
-
-def _block_level(cm, X, lo, table: _Keys, states, max_states):
+def _block_level(cm, X, lo, index, max_states):
     """Expand the level ``X`` (states ``lo ..``) as a block; changes nothing.
 
-    Returns the level's tangible flags, its edges and its new markings, with
-    their keys and state numbers; raises when the scalar step must replay it.
+    Each distinct successor is looked up in ``index``, the marking-to-state
+    dict of ``explore``.  Returns the level's tangible flags, its edges, and
+    the rows and tuples of its new markings in order of discovery; raises
+    when the scalar step must replay the level.
     """
     tangible, src, label, value, S = _expand(cm, X)
-    keys, first, inverse = np.unique(table.of(S, states), return_index=True,
-                                     return_inverse=True)
-    ids = table.find(keys)
+    _, first, inverse = np.unique(_pack(S, _widths(S)), return_index=True,
+                                  return_inverse=True)
+    distinct = list(zip(*S[first].T.tolist()))
+    ids = np.fromiter(map(index.get, distinct, repeat(-1)), np.int64, len(distinct))
     new = np.flatnonzero(ids < 0)
     new = new[np.argsort(first[new], kind="stable")]     # in order of discovery
-    if len(states) + new.size > max_states:
+    if len(index) + new.size > max_states:
         raise _Replay
-    ids[new] = np.arange(len(states), len(states) + new.size)
+    ids[new] = np.arange(len(index), len(index) + new.size)
     edges = (src + lo, ids[inverse], value, label)
-    return tangible.tolist(), edges, S[first[new]], keys[new], ids[new]
+    return tangible.tolist(), edges, S[first[new]], [distinct[k] for k in new.tolist()]
 
 
 def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
@@ -321,7 +284,6 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
     states = [start]
     tangible = []
     chunks = []
-    table = _Keys(len(cm.place_order))
     found = None     # the rows of states[lo:hi], when a block found them
 
     def intern(vec):
@@ -357,20 +319,18 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
         if hi - lo >= _BLOCK_MIN:
             try:
                 X = found if found is not None else np.array(states[lo:hi], dtype=np.int64)
-                level = _block_level(cm, X, lo, table, states, max_states)
+                level = _block_level(cm, X, lo, index, max_states)
             except Exception:  # the scalar replay raises the real error, if any
                 level = None
         if level is None:
             found = None
             scalar_level(lo, hi)
         else:
-            flags, edges, found, keys, ids = level
+            flags, edges, found, fresh = level
             tangible += flags
             chunks.append(edges)
-            fresh = list(map(tuple, found.tolist()))
-            index.update(zip(fresh, ids.tolist()))
+            index.update(zip(fresh, range(len(states), len(states) + len(fresh))))
             states += fresh
-            table.add(keys, ids)
         lo, hi = hi, len(states)
 
     src, dst, value, label = (np.concatenate(parts) for parts in zip(*chunks))
@@ -413,8 +373,8 @@ def revalue(g: StateGraph, model: SanModel) -> StateGraph:
                 weight = 1.0 / count[rows]
             value[at] = weight * np.array(a.case_probs)[g.label[at] - first]
     except (EvaluationError, _Replay):
-        # explore raises the real error, and its scalar step takes markings
-        # too wide to key
+        # explore raises the real error, and its scalar step takes the
+        # columns of a closure too wide to key (_Replay, from _values)
         return explore(model)
     return dataclasses.replace(g, model=model, value=value)
 

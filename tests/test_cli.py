@@ -250,6 +250,30 @@ def test_non_finite_effect_exits_1(capsys, tmp_path, command, value, shown):
         f"error: activity 'repair' drives place 'Up' to non-integer count {shown}"]
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_override_exits_64(capsys, command, value):
+    code, out, err = run(capsys, command, str(MODELS / "ru.san"), "--reward", "up",
+                         "--set", f"mu_RH={value}")
+    assert code == 64 and not out
+    assert err.strip().splitlines() == [
+        "usage error: overrides make the model invalid: "
+        f"parameter 'mu_RH' is not a finite number ({value})"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_non_finite_parameter_exits_1(capsys, tmp_path, command):
+    # a simulation over this horizon never reaches the marking mu_RH weighs
+    path = tmp_path / "inf_param.san"
+    path.write_text((MODELS / "ru.san").read_text()
+                    .replace("param mu_RH = 0.16666666666666666", "param mu_RH = 1e400"))
+    extra = ("--horizon", "1e3") if command == "simulate" else ()
+    code, out, err = run(capsys, command, str(path), "--reward", "up", *extra)
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [
+        "error: invalid model: parameter 'mu_RH' is not a finite number (inf)"]
+
+
 def test_ft_paper_zeros(capsys):
     code, out, _ = run(capsys, "ft", "--paper",
                        *("--u-ru 0 --u-du 0 --u-cu 0 --u-meh 0 "

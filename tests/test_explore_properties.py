@@ -1,10 +1,14 @@
-"""Block expansion against the scalar step on random small SANs.
+"""Block expansion against the scalar step, and ``revalue`` against
+``explore``, on random small SANs.
 
 Each SAN is explored twice: with every level expanded as a block, and with
 every level stepped marking by marking.  Both must give the same graph, or
-raise the same exception with the same message.
+raise the same exception with the same message.  A copy with rescaled rates
+and reweighed cases must keep the SAN's ``structure_key``, and revaluing the
+SAN's graph must give the copy's graph, or raise what exploring it raises.
 """
 
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from edgeavail import statespace  # noqa: E402
+from edgeavail.expr import BinOp, Num  # noqa: E402
 from edgeavail.expr import parse_expression as P  # noqa: E402
+from edgeavail.models import structure_key  # noqa: E402
 from edgeavail.san import (Activity, CaseSpec, Effect, InputSpec, Place,  # noqa: E402
                            RewardPredicate, SanModel)
 
@@ -83,16 +89,51 @@ def sans(draw):
         rewards=(RewardPredicate("up", P("1")),))
 
 
-def _outcome(model, block_min):
-    with mock.patch.object(statespace, "_BLOCK_MIN", block_min):
-        try:
-            g = statespace.explore(model, max_states=300)
-        except Exception as err:  # the outcome compared is the error itself
-            return type(err), str(err)
+def _outcome(explore_it):
+    """The graph ``explore_it()`` returns, or the error it raises."""
+    try:
+        g = explore_it()
+    except Exception as err:  # the outcome compared is the error itself
+        return type(err), str(err)
     return g.states, g.tangible, list(g.edges)
+
+
+def _explored(model, block_min):
+    with mock.patch.object(statespace, "_BLOCK_MIN", block_min):
+        return _outcome(lambda: statespace.explore(model, max_states=300))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(sans())
 def test_block_path_matches_scalar_step(model):
-    assert _outcome(model, 1) == _outcome(model, 10**9)
+    assert _explored(model, 1) == _explored(model, 10**9)
+
+
+@st.composite
+def reweighed(draw):
+    """A SAN from ``sans`` and a copy of it with each timed rate times a
+    positive constant (one so large that some rates overflow) and the nonzero
+    probabilities of each activity's cases reweighed, still summing to one."""
+    model = draw(sans())
+    scale = st.sampled_from([0.5, 3.0, 1e-300, 1e308])
+    activities = []
+    for a in model.activities:
+        rate = None if a.rate is None else BinOp("*", Num(draw(scale)), a.rate)
+        w = [c.probability * draw(st.integers(1, 3)) for c in a.cases]
+        cases = tuple(dataclasses.replace(c, probability=x / sum(w))
+                      for c, x in zip(a.cases, w))
+        activities.append(dataclasses.replace(a, rate=rate, cases=cases))
+    return model, dataclasses.replace(model, activities=tuple(activities))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(reweighed())
+def test_revalue_matches_explore(pair):
+    model, copy = pair
+    assert structure_key(copy) == structure_key(model)
+    try:
+        g = statespace.explore(model, max_states=300)
+    except Exception:  # no graph to revalue
+        return
+    assert (_outcome(lambda: statespace.revalue(g, copy))
+            == _outcome(lambda: statespace.explore(copy)))

@@ -62,6 +62,13 @@ def test_validate_reports_non_integer_initial_tokens(count):
     assert validate(m) == [f"place 'A' has non-integer initial tokens ({count!r})"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "1"])
+def test_validate_reports_non_finite_parameters(value):
+    m = _model([_activity("go", (CaseSpec(1.0, (put("B"),)),), rate="k")],
+               params={"k": value, "big": 1e308})
+    assert validate(m) == [f"parameter 'k' is not a finite number ({value!r})"]
+
+
 def test_builtin_models_validate_clean(table):
     for name, model in md.builtin_models(table).items():
         assert validate(model) == [], name

@@ -408,13 +408,13 @@ def test_non_positive_max_states_rejected(two_state, max_states):
         explore(two_state, max_states=max_states)
 
 
-def test_block_path_evaluates_only_where_the_scalar_step_does(monkeypatch):
-    # The timed predicate divides by zero at the vanishing markings (#V = 1),
-    # and the repair rate wherever #Down = 0: the scalar step evaluates
-    # neither there, so the block path must not either, or it would fall back.
-    # Every level past the first mixes vanishing and tangible markings, and
-    # tangible ones with and without a token in Down.
-    m = SanModel(
+def _guarded():
+    """The timed predicate divides by zero at the vanishing markings (#V = 1),
+    and the repair rate wherever #Down = 0: the scalar step evaluates
+    neither there, so the block path must not either, or it would fall back.
+    Every level past the first mixes vanishing and tangible markings, and
+    tangible ones with and without a token in Down."""
+    return SanModel(
         places=(Place("Up", 6), Place("V", 0), Place("Down", 0), Place("Worn", 0)),
         parameters={},
         activities=(
@@ -433,10 +433,40 @@ def test_block_path_evaluates_only_where_the_scalar_step_does(monkeypatch):
         ),
         rewards=(RewardPredicate("up", P("#Up >= 1")),),
     )
-    fallbacks = []
+
+
+def _wide():
+    """Eight places of 100 tokens beside A and B of 3: a level's successors
+    pack into 8 * 7 + 2 + 3 = 61 of the 63 bits a key holds.  Four levels,
+    (3, 3) to (0, 6), and the last returns to the first."""
+    return SanModel(
+        places=(Place("A", 3), Place("B", 3)) + tuple(Place(f"W{i}", 100) for i in range(8)),
+        parameters={},
+        activities=(
+            Activity("move", P("#A * #W0 / 100"), InputSpec(P("#A >= 1"), (take("A"),)),
+                     (CaseSpec(1.0, (put("B"),)),)),
+            Activity("back", P("1"), InputSpec(P("#B >= 6"), (take("B", 3),)),
+                     (CaseSpec(1.0, (put("A", 3),)),)),
+        ),
+        rewards=(RewardPredicate("up", P("#A >= 1")),),
+    )
+
+
+@pytest.mark.parametrize("build, block_min, vanishing", [
+    (lambda table: _guarded(), 1, True),
+    (lambda table: _wide(), 1, False),
+    # a silent fallback would explore this about 3 times slower
+    (lambda table: md.build_cluster(table.with_overrides(M=20, K=18)),
+     statespace._BLOCK_MIN, False),
+], ids=["guarded", "wide", "cluster-20-18"])
+def test_block_path_evaluates_only_where_the_scalar_step_does(monkeypatch, table, build,
+                                                             block_min, vanishing):
+    m = build(table)
+    blocks, fallbacks = [], []
     block_level = statespace._block_level
 
     def recorded(*args):
+        blocks.append(args[2])
         try:
             return block_level(*args)
         except Exception as err:
@@ -444,10 +474,10 @@ def test_block_path_evaluates_only_where_the_scalar_step_does(monkeypatch):
             raise
 
     monkeypatch.setattr(statespace, "_block_level", recorded)
-    monkeypatch.setattr(statespace, "_BLOCK_MIN", 1)
+    monkeypatch.setattr(statespace, "_BLOCK_MIN", block_min)
     g = explore(m)
-    assert fallbacks == []
-    assert g.n_vanishing > 0
+    assert blocks and fallbacks == []
+    assert (g.n_vanishing > 0) == vanishing
     monkeypatch.setattr(statespace, "_BLOCK_MIN", 10**9)
     scalar = explore(m)
     assert (g.states, g.tangible, g.edges) == (scalar.states, scalar.tangible, scalar.edges)
