@@ -12,7 +12,15 @@ other:
   one sparse triangular solve per sweep.  The lower triangle is scaled to a
   unit diagonal, ``(D+L) D^-1``, once per solve; each sweep then solves with
   it and multiplies by ``1/diag``, the arithmetic ``spsolve_triangular``
-  would otherwise redo on every call.
+  would otherwise redo on every call.  The solve is level-scheduled
+  (Anderson & Saad 1989): once per solve the rows are grouped into levels
+  that read only earlier levels, and a sweep substitutes a whole level with
+  one ``np.subtract.at``.  Each row takes its subtractions in column order,
+  as SuperLU's column by column solve inside ``spsolve_triangular`` does,
+  so the iterates are bit for bit the same.  A level costs a few
+  microseconds however small it is, so a triangle deeper than
+  ``_level_cap(n)`` levels, such as a birth-death chain's n, keeps
+  ``spsolve_triangular``.
 
 GTH censors states out of the chain.  It first censors whole independent
 sets of states at once (no transition between two states of a set), which
@@ -226,6 +234,72 @@ def steady_state_gth(c: Ctmc) -> SteadyState:
     return next(steady_state_gth_many((c,)))[1]
 
 
+def _level_cap(n: int) -> int:
+    """The deepest level schedule Gauss-Seidel runs on an ``n``-state chain.
+
+    A level costs about 4 us of numpy calls per sweep whatever its size, so
+    depth, not size, decides: on random triangles with three entries a row,
+    levels beat ``spsolve_triangular`` up to about 30 levels at 1,000 states
+    and 400 at 20,000 (2 vCPU, numpy 2.4.6, scipy 1.17.1).  The cap stays
+    below that; the cluster chains need 11 levels at 946 states and 41 at
+    46,781, while a birth-death chain needs n and keeps the one-call solve.
+    """
+    return 16 + n // 200
+
+
+def _level_schedule(unit_lower: sp.csc_matrix, cap: int):
+    """The strictly lower entries of the canonical CSC ``unit_lower`` as one
+    ``(rows, cols, vals)`` per level that has any, each sorted by row and
+    then column; ``None`` once more than ``cap`` levels are needed.
+
+    Rows without entries make level 0, and a row joins the level after the
+    last one it reads from (Anderson & Saad 1989).  The levels are found a
+    frontier at a time, as in Kahn's topological sort, so building stops
+    after ``cap`` frontiers and costs O(nnz + cap).
+    """
+    n = unit_lower.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(unit_lower.indptr))
+    strict = unit_lower.indices > cols
+    rows, cols = unit_lower.indices[strict].astype(np.intp), cols[strict]
+    vals = unit_lower.data[strict]
+    # rows[readers[j]:readers[j + 1]] read row j: the entries of column j
+    readers = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=readers[1:])
+    waiting = np.bincount(rows, minlength=n)     # rows each row still reads
+    level = np.empty(n, dtype=np.intp)
+    frontier = np.flatnonzero(waiting == 0)
+    depth = 0
+    while frontier.size:
+        if depth == cap:
+            return None
+        level[frontier] = depth
+        depth += 1
+        starts = readers[frontier]
+        counts = readers[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        found = rows[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        np.subtract.at(waiting, found, 1)
+        frontier = np.unique(found[waiting[found] == 0])
+    order = np.lexsort((cols, rows, level[rows]))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    bounds = np.searchsorted(level[rows], np.arange(1, depth + 1))
+    return [(rows[lo:hi], cols[lo:hi], vals[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _forward_levels(schedule, b: np.ndarray) -> None:
+    """Solves ``(I + S) y = b`` in place, ``S`` the strictly lower triangle
+    that ``schedule`` holds.
+
+    A level reads only rows of the levels before it, and ``subtract.at``
+    applies each row's subtractions in column order, as SuperLU's column
+    by column solve does, so ``b`` ends bit for bit as from
+    ``spsolve_triangular(..., unit_diagonal=True)``.
+    """
+    for rows, cols, vals in schedule:
+        np.subtract.at(b, rows, vals * b[cols])
+
+
 def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> SteadyState:
     """Gauss-Seidel on ``pi Q = 0``.
@@ -253,13 +327,18 @@ def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,
     # re-sorts it, and only resets its diagonal to exactly 1.
     unit_lower = (lower @ sp.diags(inv)).tocsc()
     unit_lower.sum_duplicates()
+    schedule = _level_schedule(unit_lower, _level_cap(n))
 
     x = np.full(n, 1.0 / n)
     change = np.inf
     for sweep in range(1, max_iter + 1):
-        x_new = spsolve_triangular(unit_lower, -(upper @ x), lower=True,
-                                   unit_diagonal=True, overwrite_A=True,
-                                   overwrite_b=True) * inv
+        b = -(upper @ x)
+        if schedule is None:
+            b = spsolve_triangular(unit_lower, b, lower=True, unit_diagonal=True,
+                                   overwrite_A=True, overwrite_b=True)
+        else:
+            _forward_levels(schedule, b)
+        x_new = b * inv
         total = x_new.sum()
         if total == 0.0 or not np.isfinite(total):
             raise NotConverged(sweep, float("nan"), float("nan"))

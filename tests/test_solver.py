@@ -148,9 +148,9 @@ def test_unavailability_bounds(table):
     assert unavailability(all_up, ss) == pytest.approx(0.0, abs=1e-12)
 
 
-def _hand_chain(src, dst, n):
-    """A chain built without to_ctmc (which rejects reducible graphs), rate 1 per edge."""
-    off = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+def _hand_chain(src, dst, n, rate=1.0):
+    """A chain built without to_ctmc (which rejects reducible graphs), ``rate`` per edge."""
+    off = sp.csr_matrix((np.ones(len(src)) * rate, (src, dst)), shape=(n, n))
     Q = (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
     return Ctmc([(i,) for i in range(n)], ("s",), Q, np.ones(n), "up")
 
@@ -390,22 +390,54 @@ def _gauss_seidel_per_call(c, tol):
     raise AssertionError("reference did not converge")
 
 
-@pytest.mark.parametrize("build", [md.build_cluster, md.build_meh])
-def test_gauss_seidel_matches_per_call_reference(table, monkeypatch, build):
-    # cluster (10, 9), and MEH, whose graph has vanishing markings
+def _count_kernels(monkeypatch) -> dict:
+    """Counts the sweeps run by each forward-substitution kernel."""
+    calls = {"spsolve_triangular": 0, "_forward_levels": 0}
+    for name in calls:
+        kernel = getattr(solver, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, fallback", [
+    pytest.param(md.build_cluster, False, id="build_cluster"),
+    pytest.param(md.build_meh, False, id="build_meh"),
+    pytest.param(md.build_cluster, True, id="build_cluster-fallback"),
+    pytest.param(md.build_meh, True, id="build_meh-fallback")])
+def test_gauss_seidel_matches_per_call_reference(table, monkeypatch, build, fallback):
+    # cluster (10, 9), and MEH, whose graph has vanishing markings: both run
+    # the level schedule, unless a cap of 0 levels forces the one-call solve
     c = _chain(build(table))
     expected, sweeps = _gauss_seidel_per_call(c, 1e-14)
-    calls = []
-    solve = solver.spsolve_triangular
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "spsolve_triangular", counted)
+    if fallback:
+        monkeypatch.setattr(solver, "_level_cap", lambda n: 0)
+    calls = _count_kernels(monkeypatch)
     got = steady_state_iterative(c, tol=1e-14)
     assert np.array_equal(got.distribution, expected)
-    assert len(calls) == sweeps
+    assert calls == {"spsolve_triangular": sweeps if fallback else 0,
+                     "_forward_levels": 0 if fallback else sweeps}
+
+
+def test_gauss_seidel_keeps_one_call_solve_on_deep_chain(monkeypatch):
+    # states 0 .. n-1 step up and down at rate 1 and reset to 0 at rate 0.1:
+    # the triangle's steps up form one path n levels deep, which level by
+    # level would take about 80 ms a sweep, and GS needs 236 sweeps
+    n = 20_000
+    i = np.arange(n - 1)
+    c = _hand_chain(np.r_[i, i + 1, i + 1], np.r_[i + 1, i, np.zeros(n - 1, int)], n,
+                    np.r_[np.ones(2 * (n - 1)), np.full(n - 1, 0.1)])
+    expected, sweeps = _gauss_seidel_per_call(c, solver.DEFAULT_TOL)
+    assert sweeps >= 100
+    calls = _count_kernels(monkeypatch)
+    with deadline(5):
+        got = steady_state_iterative(c)
+    assert calls == {"spsolve_triangular": sweeps, "_forward_levels": 0}
+    assert np.array_equal(got.distribution, expected)
 
 
 @pytest.mark.parametrize("limits", [

@@ -15,6 +15,13 @@ same sparsity pattern), must solve in ``steady_state_gth_many`` exactly as
 one at a time, with stages down to one state and stacks that flush often.
 The cluster ladder's rungs must solve bit for bit as with the dense kernel
 on one matrix at a time.
+
+Gauss-Seidel's level-scheduled forward substitution must give bit for bit
+what ``spsolve_triangular`` gives on random unit lower triangles: up to 400
+rows, some of them empty, some stored zeros, magnitudes within a decade of
+1 or from 1e-300 to 1e300, and sometimes a path through every row, n
+levels deep.  The schedule must be refused exactly when it is deeper than
+its cap.
 """
 
 import dataclasses
@@ -22,6 +29,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -159,3 +168,53 @@ def test_ladder_rungs_solve_as_the_one_matrix_kernel(table, M, K):
     for got, expected in zip(batched, reference, strict=True):
         assert np.array_equal(got.distribution, expected.distribution)
         assert got.residual == expected.residual
+
+
+@st.composite
+def unit_triangles(draw):
+    """A canonical CSC lower triangle, its diagonal ignored, with a right-hand side."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.integers(0, n, draw(st.integers(0, 3 * n)))
+    rows = rows[rows > 0]
+    cols = rng.integers(0, rows)
+    if draw(st.booleans()):     # a path through every row: n levels
+        rows, cols = np.r_[rows, 1:n], np.r_[cols, 0:n - 1]
+    empty = rng.random(n) < draw(st.floats(0.0, 0.5))
+    keep = ~empty[rows]
+    rows, cols = rows[keep], cols[keep]
+    # magnitudes 10^U(-e, e): close ones round differently in another order
+    e = draw(st.sampled_from([1.0, 300.0]))
+    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-e, e, rows.size)
+    vals[rng.random(rows.size) < draw(st.floats(0.0, 0.3))] = 0.0    # stored zeros
+    lower = sp.csc_matrix((np.r_[vals, rng.uniform(0.5, 2.0, n)],
+                           (np.r_[rows, 0:n], np.r_[cols, 0:n])), shape=(n, n))
+    lower.sum_duplicates()
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-e, e, n)
+    return lower, b
+
+
+def _depth(lower) -> int:
+    """Levels of the strictly lower triangle's dependency graph, row by row."""
+    below = sp.tril(lower, -1).tocsr()
+    level = []
+    for i in range(lower.shape[0]):
+        reads = below.indices[below.indptr[i]:below.indptr[i + 1]]
+        level.append(1 + max((level[j] for j in reads), default=0))
+    return max(level)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(unit_triangles(), st.integers(0, 450))
+def test_level_solve_is_spsolve_triangular_bit_for_bit(triangle, cap):
+    lower, b = triangle
+    depth = _depth(lower)
+    for limit in (cap, depth - 1, depth):
+        assert (solver._level_schedule(lower, limit) is None) == (depth > limit)
+    schedule = solver._level_schedule(lower, depth)
+    assert len(schedule) == depth - 1
+    with np.errstate(all="ignore"):
+        want = spsolve_triangular(lower.copy(), b.copy(), lower=True, unit_diagonal=True)
+        got = b.copy()
+        solver._forward_levels(schedule, got)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
