@@ -13,8 +13,8 @@ from edgeavail import (eliminate_vanishing, explore, parse_model,
                        serialize_model, simulate, simulate_replicated,
                        steady_state_gth, to_ctmc, unavailability)
 
-models_dir = pathlib.Path(__file__).resolve().parents[1] / "models"
-text = (models_dir / "du.san").read_text()
+elements_dir = pathlib.Path(__file__).resolve().parents[1] / "src" / "edgeavail" / "elements"
+text = (elements_dir / "du.san").read_text()
 model = parse_model(text)
 print(f"loaded distributed-unit model: {len(model.places)} places, "
       f"{len(model.activities)} activities")

@@ -10,8 +10,9 @@ Subcommands::
 Everything on stdout is machine parseable (``key=value`` lines, or CSV with
 ``--out -``); diagnostics go to stderr.  ``--json`` switches any subcommand to
 a single JSON object.  ``--set name=value`` overrides model parameters (solve,
-simulate) or intensity-table entries (paper) and rejects unknown names before
-any computation.  ``EDGEAVAIL_SEED`` provides the default simulation seed.
+simulate) or intensity-table entries (paper) and rejects unknown names, and
+parameters that nothing in the model reads, before any computation.
+``EDGEAVAIL_SEED`` provides the default simulation seed.
 
 Exit codes: 0 success, 1 input error, 2 computation error, 64 usage error.
 """
@@ -26,6 +27,7 @@ import os
 import sys
 
 from . import experiments as xp
+from . import expr as ex
 from . import models as md
 from .document import parse_model
 from .errors import (DenseBlockTooLarge, EdgeavailError, NotConverged,
@@ -115,6 +117,18 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _read_parameters(model) -> set:
+    """The parameters some value, rate, predicate, effect or reward reads."""
+    exprs = [*model.parameters.values(), *(p.initial_tokens for p in model.places),
+             *(r.predicate for r in model.rewards)]
+    for a in model.activities:
+        exprs += [a.rate, a.input.predicate]
+        exprs += [e.value for e in a.input.effects]
+        for c in a.cases:
+            exprs += [c.probability, *(e.value for e in c.effects)]
+    return set().union(*(ex.identifiers(e)[0] for e in exprs if isinstance(e, ex.Expr)))
+
+
 def _load_model(path, overrides):
     with open(path, "r", encoding="utf-8") as fh:
         model = parse_model(fh.read())
@@ -123,6 +137,10 @@ def _load_model(path, overrides):
         if unknown:
             raise UsageError(
                 f"--set names not declared by the model: {', '.join(unknown)}")
+        unread = sorted(set(overrides) - _read_parameters(model))
+        if unread:
+            raise UsageError(
+                f"--set names that nothing in the model reads: {', '.join(unread)}")
         model = dataclasses.replace(model, parameters={**model.parameters, **overrides})
         diags = validate(model)
         if diags:

@@ -22,9 +22,12 @@ somewhere in the document::
 ``#`` starts a comment unless immediately followed by an identifier, which is
 a token-count reference (so ``Working = M - #HW_Fail`` works inside effect
 blocks).  Rate, predicate, and reward expressions sit in double quotes;
-effect expressions are bare.  Parameter values and case probabilities may be
-expressions over previously declared parameters; they are folded to constants
-at load time, so serialized documents always show plain numbers.
+effect expressions are bare.  Parameter values, initial counts and case
+probabilities may be expressions over previously declared parameters
+(``param lambda_i = lambda * M / K``, ``place Working = M``,
+``case 1 - C { ... }``).  They stay as written: the model holds the
+expression, serialization writes it back, and replacing a parameter changes
+every value derived from it.
 
 ``parse_model(serialize_model(m))`` reproduces ``m`` exactly, and
 serialization is deterministic, so serialized text is a fixpoint.
@@ -42,7 +45,9 @@ HEADER = "san-format 1"
 _STATEMENT_WORDS = {"param", "place", "activity", "reward"}
 
 
-def _fold(e: ex.Expr, params: dict, what: str) -> float:
+def _declared(e: ex.Expr, params: dict, what: str):
+    """``e`` as a model value: a literal as its number, else the expression,
+    which may read only parameters declared before it."""
     p, places = ex.identifiers(e)
     if places:
         raise SemanticError(f"{what} must not reference places: #{sorted(places)[0]}")
@@ -50,7 +55,7 @@ def _fold(e: ex.Expr, params: dict, what: str) -> float:
     if missing:
         raise SemanticError(f"{what} references undeclared parameter '{missing[0]}' "
                             "(parameters fold in declaration order)")
-    return ex.compile_expr(e, {}, params)(())
+    return e.value if isinstance(e, ex.Num) else e
 
 
 def parse_model(text: str) -> SanModel:
@@ -103,7 +108,7 @@ def parse_model(text: str) -> SanModel:
         cur.next()  # }
         return tuple(effects)
 
-    params: dict[str, float] = {}
+    params: dict = {}
     places: list[Place] = []
     activities: list[Activity] = []
     rewards: list[RewardPredicate] = []
@@ -127,22 +132,23 @@ def parse_model(text: str) -> SanModel:
             name = cur.expect("IDENT", expected={"a parameter name"})
             declare(name, "parameter")
             cur.expect("=", expected={"'='"})
-            params[name.text] = _fold(ex.parse_expr(cur), params,
-                                      f"parameter '{name.text}'")
+            params[name.text] = _declared(ex.parse_expr(cur), params,
+                                          f"parameter '{name.text}'")
 
         elif word == "place":
             name = cur.expect("IDENT", expected={"a place name"})
             declare(name, "place")
             cur.expect("=", expected={"'='"})
-            neg = cur.at("-")
-            if neg:
-                cur.next()
-            count_tok = cur.expect("NUMBER", expected={"an integer token count"})
-            count = float(count_tok.text) * (-1 if neg else 1)
-            if not count.is_integer():   # false for inf too
-                raise SemanticError(f"place '{name.text}' needs an integer "
-                                    f"initial count, got {count_tok.text}")
-            places.append(Place(name.text, int(count)))
+            start = cur.pos
+            count = _declared(ex.parse_expr(cur), params,
+                              f"initial count of place '{name.text}'")
+            if not isinstance(count, ex.Expr):
+                if not count.is_integer():   # false for inf too
+                    text = "".join(t.text for t in cur.tokens[start:cur.pos])
+                    raise SemanticError(f"place '{name.text}' needs an integer "
+                                        f"initial count, got {text}")
+                count = int(count)
+            places.append(Place(name.text, count))
 
         elif word == "activity":
             kind = cur.expect("IDENT", expected={"'timed'", "'instant'"})
@@ -163,8 +169,8 @@ def parse_model(text: str) -> SanModel:
             cases = []
             while cur.at("IDENT", "case"):
                 cur.next()
-                prob = _fold(ex.parse_expr(cur), params,
-                             f"case probability in '{name.text}'")
+                prob = _declared(ex.parse_expr(cur), params,
+                                 f"case probability in '{name.text}'")
                 cases.append(CaseSpec(prob, parse_effects()))
             cur.expect("}", expected={"'case'", "'}'"})
             activities.append(Activity(name.text, rate,
@@ -179,6 +185,7 @@ def parse_model(text: str) -> SanModel:
 
     model = SanModel(tuple(places), params, tuple(activities), tuple(rewards),
                      description=description)
+    model.parameter_values()   # a parameter that fails to fold raises as itself
     diags = validate(model)
     if diags:
         raise SemanticError("invalid model: " + "; ".join(diags))
@@ -187,6 +194,11 @@ def parse_model(text: str) -> SanModel:
 
 def serialize_model(model: SanModel) -> str:
     """Render a validated model as document text (deterministic)."""
+
+    def value_text(value) -> str:
+        if isinstance(value, ex.Expr):
+            return ex.to_text(value)
+        return ex.format_number(float(value))
 
     def effects_text(effects) -> str:
         body = "; ".join(f"{e.place} {e.op} {ex.to_text(e.value)}" for e in effects)
@@ -197,9 +209,9 @@ def serialize_model(model: SanModel) -> str:
         if model.description:
             out.append(f"#: {line}" if line else "#:")
     for name, value in model.parameters.items():
-        out.append(f"param {name} = {ex.format_number(float(value))}")
+        out.append(f"param {name} = {value_text(value)}")
     for p in model.places:
-        out.append(f"place {p.name} = {p.initial_tokens}")
+        out.append(f"place {p.name} = {value_text(p.initial_tokens)}")
     for a in model.activities:
         head = (f"activity timed {a.name} rate \"{ex.to_text(a.rate)}\""
                 if a.timed else f"activity instant {a.name}")
@@ -207,7 +219,7 @@ def serialize_model(model: SanModel) -> str:
         out.append(f"  input \"{ex.to_text(a.input.predicate)}\" "
                    + effects_text(a.input.effects))
         for c in a.cases:
-            out.append(f"  case {ex.format_number(c.probability)} {effects_text(c.effects)}")
+            out.append(f"  case {value_text(c.probability)} {effects_text(c.effects)}")
         out.append("}")
     for r in model.rewards:
         out.append(f"reward {r.name} = \"{ex.to_text(r.predicate)}\"")

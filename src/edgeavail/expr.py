@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 from .errors import DivisionByZero, ParseError, UnknownIdentifier
 
@@ -80,7 +80,8 @@ class Call:
     args: tuple
 
 
-Expr = Union[Num, Param, TokenCount, Neg, Not, BinOp, Cond, Call]
+# a types.UnionType: isinstance(x, Expr) is one C-level check
+Expr = Num | Param | TokenCount | Neg | Not | BinOp | Cond | Call
 
 
 def identifiers(e: Expr):
@@ -449,13 +450,11 @@ def compile_expr(e: Expr, place_index: Mapping[str, int],
             f = _COMPARISONS[op]
             return lambda m: 1.0 if f(a(m), b(m)) else 0.0
         if op == "/":
-            where = to_text(e)
-
             def div(m):
                 n = a(m)
                 d = b(m)
                 if d == 0.0:
-                    raise DivisionByZero(where)
+                    raise DivisionByZero(to_text(e))
                 return n / d
 
             return div

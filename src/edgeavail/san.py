@@ -34,8 +34,9 @@ _OPS = ("+=", "-=", "=")
 
 @dataclass(frozen=True)
 class Place:
+    """``initial_tokens`` is a count or an expression over the parameters."""
     name: str
-    initial_tokens: int = 0
+    initial_tokens: int | ex.Expr = 0
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ class InputSpec:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    probability: float
+    """``probability`` is a number or an expression over the parameters."""
+    probability: float | ex.Expr
     effects: tuple = ()
 
 
@@ -79,14 +81,39 @@ class RewardPredicate:
 
 @dataclass
 class SanModel:
+    """A model as declared.  A parameter value is a number or an expression
+    over the parameters declared before it; replacing a parameter changes
+    every value derived from it."""
     places: tuple
     parameters: dict
     activities: tuple
     rewards: tuple
     description: str = ""
 
+    def parameter_values(self) -> dict:
+        """Each parameter's value, folded in declaration order."""
+        values = {}
+        for name, value in self.parameters.items():
+            values[name] = fold(value, values)
+        return values
+
     def initial_marking(self) -> Marking:
-        return {p.name: p.initial_tokens for p in self.places}
+        params = self.parameter_values()
+        return {p.name: _tokens(p.initial_tokens, params) for p in self.places}
+
+
+def fold(value, params: dict):
+    """A declared value: a number as it is, an expression evaluated over
+    ``params`` (which must hold every parameter it reads)."""
+    if not isinstance(value, ex.Expr):
+        return value
+    return ex.compile_expr(value, {}, params)(())
+
+
+def _tokens(value, params):
+    """An initial count; a whole number folded from an expression as an int."""
+    n = fold(value, params)
+    return int(n) if isinstance(value, ex.Expr) and float(n).is_integer() else n
 
 
 # ── helpers for building effects in code ─────────────────────────────────────
@@ -109,7 +136,12 @@ PROB_SUM_TOL = 1e-12
 
 
 def validate(model: SanModel) -> list[str]:
-    """Return every violation found; an empty list means the model is well-formed."""
+    """Return every violation found; an empty list means the model is well-formed.
+
+    Parameter values, initial counts and case probabilities are checked as
+    they fold.  A value that fails to fold is reported once; the values
+    derived from it are not checked.
+    """
     diags = []
     place_names = set()
     for p in model.places:
@@ -118,19 +150,50 @@ def validate(model: SanModel) -> list[str]:
         place_names.add(p.name)
         if p.name in ex.KEYWORDS:
             diags.append(f"place name '{p.name}' is a reserved word")
-        n = p.initial_tokens
+
+    params = {}   # the values folded so far
+
+    def folded(fn, value, where, readable):
+        """``fn(value, params)``, or None once the reason is in ``diags``."""
+        if isinstance(value, ex.Expr):
+            refs, places = ex.identifiers(value)
+            problems = [f"{where} must not reference places: #{name}"
+                        for name in sorted(places)]
+            problems += [f"{where} references undeclared parameter '{name}' "
+                         "(parameters fold in declaration order)"
+                         for name in sorted(refs - readable)]
+            diags.extend(problems)
+            if problems or not refs <= params.keys():
+                return None   # else a value it reads failed, reported there
+        try:
+            return fn(value, params)
+        except EvaluationError as err:
+            diags.append(f"{where}: {err}")
+            return None
+
+    earlier = set()
+    for name, value in model.parameters.items():
+        if name in ex.KEYWORDS:
+            diags.append(f"parameter name '{name}' is a reserved word")
+        if name in place_names:
+            diags.append(f"name '{name}' declared as both a parameter and a place")
+        v = folded(fold, value, f"parameter '{name}'", earlier)
+        earlier.add(name)
+        if v is None:
+            continue
+        if isinstance(v, numbers.Real) and math.isfinite(v):
+            params[name] = v
+        else:
+            diags.append(f"parameter '{name}' is not a finite number ({v!r})")
+
+    for p in model.places:
+        n = folded(_tokens, p.initial_tokens, f"initial count of place '{p.name}'", earlier)
+        if n is None:
+            continue
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             diags.append(f"place '{p.name}' has non-integer initial tokens ({n!r})")
         elif n < 0:
             diags.append(f"place '{p.name}' has negative initial tokens ({n})")
-
-    for name, value in model.parameters.items():
-        if name in ex.KEYWORDS:
-            diags.append(f"parameter name '{name}' is a reserved word")
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            diags.append(f"parameter '{name}' is not a finite number ({value!r})")
-        if name in place_names:
-            diags.append(f"name '{name}' declared as both a parameter and a place")
 
     def check_expr(e, where):
         params, places = ex.identifiers(e)
@@ -161,14 +224,14 @@ def validate(model: SanModel) -> list[str]:
         check_effects(a.input.effects, f"{where} input")
         if not a.cases:
             diags.append(f"{where}: no cases")
-        total = 0.0
-        for i, c in enumerate(a.cases):
-            if not 0.0 <= c.probability <= 1.0:
-                diags.append(f"{where} case {i}: probability {c.probability} outside [0, 1]")
-            total += c.probability
+        probs = [folded(fold, c.probability, f"{where} case {i}", earlier)
+                 for i, c in enumerate(a.cases)]
+        for i, (prob, c) in enumerate(zip(probs, a.cases)):
+            if prob is not None and not 0.0 <= prob <= 1.0:
+                diags.append(f"{where} case {i}: probability {prob} outside [0, 1]")
             check_effects(c.effects, f"{where} case {i}")
-        if a.cases and abs(total - 1.0) > PROB_SUM_TOL:
-            diags.append(f"{where}: case probabilities sum to {total!r}")
+        if a.cases and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+            diags.append(f"{where}: case probabilities sum to {sum(probs)!r}")
 
     seen_rewards = set()
     for r in model.rewards:
@@ -222,7 +285,7 @@ class CompiledModel:
         self.index = {name: i for i, name in enumerate(self.place_order)}
         initial = model.initial_marking()
         self.initial = tuple(initial[name] for name in self.place_order)
-        params = model.parameters
+        params = model.parameter_values()
 
         def lower(e):
             fn = ex.compile_expr(e, self.index, params)
@@ -245,7 +308,7 @@ class CompiledModel:
                 rate_cols=rate_cols,
                 label=len(labels),
                 input_effects=compile_effects(a.input.effects),
-                case_probs=tuple(c.probability for c in a.cases),
+                case_probs=tuple(fold(c.probability, params) for c in a.cases),
                 case_effects=tuple(compile_effects(c.effects) for c in a.cases),
             ))
             labels += [f"{a.name}/{ci}" for ci in range(len(a.cases))]

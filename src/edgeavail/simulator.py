@@ -199,12 +199,12 @@ def _pick_case(a, rng) -> int:
 
 
 def _t_interval(values: np.ndarray) -> tuple[float, float]:
-    from scipy import stats  # slow to import; needed only for this quantile
+    from scipy.special import stdtrit  # the t quantile, without scipy.stats
 
     n = len(values)
     mean = float(values.mean())
     s = float(values.std(ddof=1))
-    half = float(stats.t.ppf(0.975, n - 1)) * s / math.sqrt(n)
+    half = float(stdtrit(n - 1, 0.975)) * s / math.sqrt(n)
     return mean, half
 
 

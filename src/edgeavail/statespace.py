@@ -67,6 +67,7 @@ _LOOP_TOL = 1e-12
 # by the scalar step.  Tuned on cluster chains of 946 to 46,781 states.
 _BLOCK_MIN = 96
 _EXACT_COUNT = 2.0 ** 53   # a count this large leaves the block path
+_CLASSES_SHOWN = 5         # a NotIrreducible message lists this many classes
 
 
 @dataclass(frozen=True)
@@ -502,7 +503,9 @@ def to_ctmc(g: StateGraph, reward: str) -> Ctmc:
         cross = labels[C.row] != labels[C.col]
         closed = np.bincount(labels[C.row[cross]], minlength=n_comp) == 0
         classes = [f"class {c}: {sizes[c]} states" + (" (closed)" if closed[c] else "")
-                   for c in range(n_comp)]
+                   for c in range(min(n_comp, _CLASSES_SHOWN))]
+        if n_comp > _CLASSES_SHOWN:
+            classes.append(f"... and {n_comp - _CLASSES_SHOWN} more")
         raise NotIrreducible(
             f"chain splits into {n_comp} communicating classes: " + "; ".join(classes))
 

@@ -13,7 +13,7 @@ from edgeavail.statespace import StateGraph
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-MODELS = REPO / "models"
+MODELS = REPO / "src" / "edgeavail" / "elements"
 
 
 def two_state_model(lam=0.1, mu=0.9) -> SanModel:

@@ -1,13 +1,16 @@
 """Command-line interface: outputs, exit codes, overrides, JSON."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from edgeavail import models as md
 from edgeavail import solver
 from edgeavail.cli import main
+from edgeavail.document import parse_model
 
 from conftest import DATA, MODELS, deadline
 
@@ -408,3 +411,73 @@ def test_paper_json_summary(capsys, tmp_path):
 def test_usage_error_on_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 64
+
+
+def _override(name, value):
+    """A different legal value for the intensity-table field ``name``."""
+    if name.startswith("alpha_"):
+        return 10 * value
+    if name.startswith("lambda_"):
+        return 3 * value
+    if name.startswith("mu_"):
+        return value / 2
+    if name.startswith("C_"):
+        return 0.5
+    return {"M": 12, "K": 8}[name]
+
+
+def _document_fields():
+    fields = {f.name for f in dataclasses.fields(md.IntensityTable)}
+    for doc in ("ru", "du", "cu", "meh", "cluster"):
+        declared = parse_model((MODELS / f"{doc}.san").read_text()).parameters
+        for name in declared:
+            if name in fields:
+                yield doc, name
+
+
+def test_every_table_field_is_declared_by_a_document():
+    declared = {name for _, name in _document_fields()}
+    assert declared == {f.name for f in dataclasses.fields(md.IntensityTable)}
+
+
+@pytest.mark.parametrize("doc, name", list(_document_fields()))
+def test_set_reaches_every_derived_value(capsys, table, doc, name):
+    # the document with one catalog entry overridden is the library's element
+    value = _override(name, getattr(table, name))
+    code, out, err = run(capsys, "solve", str(MODELS / f"{doc}.san"), "--reward", "up",
+                         "--set", f"{name}={value!r}")
+    assert code == 0, err
+    kind = md.ElementKind.CLUSTER_5GC if doc == "cluster" else md.ElementKind(doc)
+    expected = md.element_unavailability(kind, table.with_overrides(**{name: value}))
+    assert float(kv(out)["unavailability"]) == expected
+
+
+@pytest.mark.parametrize("override, message", [
+    ("K=0", "parameter 'lambda_Hi': division by zero in alpha_H * lambda_HW * M / K; "
+            "parameter 'lambda_Oi': division by zero in alpha_O * lambda_OS * M / K"),
+    ("M=10.5", "place 'Working' has non-integer initial tokens (10.5)"),
+    ("C_HW=1.5", "activity 'HW_F1' case 0: probability 1.5 outside [0, 1]; "
+                 "activity 'HW_F1' case 1: probability -0.5 outside [0, 1]"),
+])
+def test_out_of_domain_cluster_override_exits_64(capsys, override, message):
+    code, out, err = run(capsys, "solve", str(MODELS / "cluster.san"), "--reward", "up",
+                         "--set", override)
+    assert code == 64 and not out
+    assert err.strip().splitlines() == [
+        f"usage error: overrides make the model invalid: {message}"]
+
+
+def test_override_nothing_reads_exits_64(capsys, tmp_path):
+    # "twice" is read by nothing; "spare" only by twice's value, which counts
+    path = tmp_path / "spare.san"
+    path.write_text((DATA / "two_state.san").read_text()
+                    + "param spare = 1\nparam twice = 2 * spare\n")
+    for names in (["twice"], ["spare", "twice", "lam"]):
+        code, out, err = run(capsys, "solve", str(path), "--reward", "up",
+                             *(f"--set={name}=2" for name in names))
+        assert code == 64 and not out
+        assert err.strip().splitlines() == [
+            "usage error: --set names that nothing in the model reads: twice"]
+    code, out, _ = run(capsys, "solve", str(path), "--reward", "up", "--set", "spare=2")
+    assert code == 0
+    assert float(kv(out)["unavailability"]) == pytest.approx(0.1, abs=1e-12)

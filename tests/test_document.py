@@ -6,6 +6,8 @@ from edgeavail import models as md
 from edgeavail.document import parse_model, serialize_model
 from edgeavail.cli import main
 from edgeavail.errors import DivisionByZero, ParseError, SemanticError
+from edgeavail.expr import parse_expression as P
+from edgeavail.san import compiled
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
@@ -58,7 +60,9 @@ def test_description_round_trips():
 def test_parameters_fold_in_declaration_order():
     text = ("san-format 1\nparam base = 2\nparam derived = base * 3\n"
             "place P = 1\nreward up = \"#P >= 1\"\n")
-    assert parse_model(text).parameters["derived"] == 6.0
+    m = parse_model(text)
+    assert m.parameters["derived"] == P("base * 3")   # kept as written
+    assert m.parameter_values()["derived"] == 6.0
 
 
 def test_forward_parameter_reference_rejected():
@@ -84,7 +88,7 @@ def test_folding_division_by_zero_names_the_expression():
 
 def test_folding_is_lazy_in_the_untaken_branch():
     m = parse_model(_with_params("param x = if 0 then 1 / 0 else 2"))
-    assert m.parameters["x"] == 2.0
+    assert m.parameter_values()["x"] == 2.0
 
 
 def test_solve_reports_a_folding_error_on_one_line(tmp_path, capsys):
@@ -104,8 +108,8 @@ def test_case_probabilities_fold_over_parameters():
             "{ B = 0; C = 0; A = 1 } case 1 { }\n}\n"
             'reward up = "#A >= 1"\n')
     m = parse_model(text)
-    assert m.activities[0].cases[0].probability == 0.25
-    assert m.activities[0].cases[1].probability == 0.75
+    assert compiled(m).activities[0].case_probs == (0.25, 0.75)
+    assert m.activities[0].cases[1].probability == P("1 - c")   # kept as written
 
 
 def test_undeclared_place_is_a_semantic_error():

@@ -22,7 +22,7 @@ from edgeavail.expr import BinOp, Num  # noqa: E402
 from edgeavail.expr import parse_expression as P  # noqa: E402
 from edgeavail.models import structure_key  # noqa: E402
 from edgeavail.san import (Activity, CaseSpec, Effect, InputSpec, Place,  # noqa: E402
-                           RewardPredicate, SanModel)
+                           RewardPredicate, SanModel, fold)
 
 PLACES = ("A", "B", "C", "D")
 
@@ -32,6 +32,11 @@ def sans(draw):
     """2-4 places holding 1-3 tokens initially, and 2-6 activities,
     each timed or instantaneous with 1-3 cases (weights may be zero).
 
+    Parameters ``n`` (a count) and ``w`` (a weight) are literals, and ``v``,
+    when drawn, an expression over them.  Some initial counts are ``n``, and
+    some two-case activities weigh their cases ``w``/``1 - w`` or
+    ``v``/``1 - v``.
+
     Most activities move a token from one place to the case's place, which
     keeps the token count and so bounds the markings.  The others have random
     guards and effects, and some of their SANs exceed ``max_states``.  Rates
@@ -39,6 +44,11 @@ def sans(draw):
     effects may drive a count negative or to a fraction, or divide by zero.
     """
     places = PLACES[:draw(st.integers(2, 4))]
+    params = {"n": float(draw(st.integers(1, 3))),
+              "w": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))}
+    if draw(st.booleans()):
+        params["v"] = P(draw(st.sampled_from(
+            ["1 - w", "w / 2", "min(w, 0.5)", "if n > 1 then w else 1 - w"])))
     ref = st.sampled_from(places).map(lambda p: "#" + p)
     k = st.integers(0, 3)
     c = st.sampled_from(["0.5", "1", "2.5", "10"])
@@ -69,6 +79,9 @@ def sans(draw):
         if not any(weights):
             weights[0] = 1
         probs = [w / sum(weights) for w in weights]
+        if len(probs) == 2 and draw(st.booleans()):
+            weight = draw(st.sampled_from(sorted(set(params) - {"n"})))
+            probs = [P(weight), P(f"1 - {weight}")]
         if draw(st.integers(0, 2)):
             src = draw(st.sampled_from(places))
             guard = " and ".join([f"#{src} >= 1"] + [comparison()
@@ -83,9 +96,10 @@ def sans(draw):
             cases = tuple(CaseSpec(p, effects(draw(st.integers(0, 2)))) for p in probs)
         timed = draw(st.integers(0, 9)) < 7
         activities.append(Activity(f"a{i}", P(rate()) if timed else None, gate, cases))
+    counts = st.one_of(st.integers(1, 3), st.just(P("n")))
     return SanModel(
-        places=tuple(Place(p, draw(st.integers(1, 3))) for p in places),
-        parameters={}, activities=tuple(activities),
+        places=tuple(Place(p, draw(counts)) for p in places),
+        parameters=params, activities=tuple(activities),
         rewards=(RewardPredicate("up", P("1")),))
 
 
@@ -117,9 +131,10 @@ def reweighed(draw):
     model = draw(sans())
     scale = st.sampled_from([0.5, 3.0, 1e-300, 1e308])
     activities = []
+    params = model.parameter_values()
     for a in model.activities:
         rate = None if a.rate is None else BinOp("*", Num(draw(scale)), a.rate)
-        w = [c.probability * draw(st.integers(1, 3)) for c in a.cases]
+        w = [fold(c.probability, params) * draw(st.integers(1, 3)) for c in a.cases]
         cases = tuple(dataclasses.replace(c, probability=x / sum(w))
                       for c, x in zip(a.cases, w))
         activities.append(dataclasses.replace(a, rate=rate, cases=cases))

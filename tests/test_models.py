@@ -90,14 +90,14 @@ def test_du_full_software_coverage_removes_hard_repair(table):
 
 
 def test_cluster_per_instance_rate_at_unit_settings(table):
-    m = md.build_cluster(table.with_overrides(M=1, K=1))
-    assert m.parameters["lambda_Hi"] == pytest.approx(table.lambda_HW, abs=0)
-    assert m.parameters["lambda_Oi"] == pytest.approx(table.lambda_OS, abs=0)
+    values = md.build_cluster(table.with_overrides(M=1, K=1)).parameter_values()
+    assert values["lambda_Hi"] == pytest.approx(table.lambda_HW, abs=0)
+    assert values["lambda_Oi"] == pytest.approx(table.lambda_OS, abs=0)
 
 
 def test_cluster_alpha_scales_rates(table):
     m = md.build_cluster(table.with_overrides(alpha_H=2.5))
-    assert m.parameters["lambda_Hi"] == pytest.approx(
+    assert m.parameter_values()["lambda_Hi"] == pytest.approx(
         2.5 * table.lambda_HW * table.M / table.K, rel=1e-15)
 
 

@@ -69,6 +69,28 @@ def test_validate_reports_non_finite_parameters(value):
     assert validate(m) == [f"parameter 'k' is not a finite number ({value!r})"]
 
 
+def test_validate_folds_declared_expressions_once():
+    # "b" fails to fold; "d", derived from it, is not checked again
+    m = _model([_activity("go", (CaseSpec(P("c"), (put("B"),)),
+                                 CaseSpec(P("1 - c"), ())))],
+               places=(Place("A", P("n")), Place("B", P("d"))),
+               params={"a": 0.0, "b": P("1 / a"), "c": P("e * 2"), "e": 0.25,
+                       "n": P("#A"), "d": P("b + 1")})
+    assert validate(m) == [
+        "parameter 'b': division by zero in 1 / a",
+        "parameter 'c' references undeclared parameter 'e' "
+        "(parameters fold in declaration order)",
+        "parameter 'n' must not reference places: #A"]
+    ok = _model([_activity("go", (CaseSpec(P("c"), (put("B"),)),
+                                  CaseSpec(P("1 - c"), ())))],
+                places=(Place("A", P("n")), Place("B", 0)),
+                params={"c": 0.75, "n": P("c * 4")})
+    assert validate(ok) == []
+    assert ok.initial_marking() == {"A": 3, "B": 0}
+    assert type(ok.initial_marking()["A"]) is int
+    assert compiled(ok).activities[0].case_probs == (0.75, 0.25)
+
+
 def test_builtin_models_validate_clean(table):
     for name, model in md.builtin_models(table).items():
         assert validate(model) == [], name

@@ -413,3 +413,13 @@ def test_memo_keeps_at_most_cap_records_and_links_only_kept_ones(table, monkeypa
     monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
     assert simulate(cluster, "up", horizon=2e5, seed=5) == capped
     assert not memos[1]
+
+
+def test_t_quantile_is_the_scipy_stats_one():
+    # stdtrit spares the interval the import of scipy.stats, bit for bit
+    from scipy import special, stats
+    df = np.arange(1, 2000)
+    assert np.array_equal(special.stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+    values = np.array([0.25, 0.5, 0.75, 1.0])
+    mean, half = simulator._t_interval(values)
+    assert half == float(stats.t.ppf(0.975, 3)) * float(values.std(ddof=1)) / 2.0

@@ -334,6 +334,23 @@ def test_absorbing_state_rejected():
                               "class 0: 1 states (closed); class 1: 1 states")
 
 
+def test_not_irreducible_lists_the_first_classes_and_counts_the_rest():
+    # a counter that only climbs: each of its 400 markings is a class
+    m = SanModel(
+        places=(Place("N", 0),), parameters={},
+        activities=(Activity("tick", P("1"), InputSpec(P("#N < 399"), ()),
+                             (CaseSpec(1.0, (put("N"),)),)),),
+        rewards=(RewardPredicate("up", P("#N >= 0")),),
+    )
+    with pytest.raises(NotIrreducible) as err:
+        _pipeline(m)
+    message = str(err.value)
+    assert message.startswith("chain splits into 400 communicating classes: class 0: ")
+    assert message.endswith("; ... and 395 more")
+    assert message.count("class ") == statespace._CLASSES_SHOWN == 5
+    assert len(message) < 250
+
+
 def test_unknown_reward(two_state):
     with pytest.raises(UnknownReward):
         to_ctmc(eliminate_vanishing(explore(two_state)), "nonsense")
