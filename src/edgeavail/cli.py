@@ -118,15 +118,20 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _read_parameters(model) -> set:
-    """The parameters some value, rate, predicate, effect or reward reads."""
-    exprs = [*model.parameters.values(), *(p.initial_tokens for p in model.places),
-             *(r.predicate for r in model.rewards)]
+    """The parameters a rate, predicate, effect, reward, case probability or
+    initial count reads, directly or through parameters so read."""
+    exprs = [*(p.initial_tokens for p in model.places), *(r.predicate for r in model.rewards)]
     for a in model.activities:
         exprs += [a.rate, a.input.predicate]
         exprs += [e.value for e in a.input.effects]
         for c in a.cases:
             exprs += [c.probability, *(e.value for e in c.effects)]
-    return set().union(*(ex.identifiers(e)[0] for e in exprs if isinstance(e, ex.Expr)))
+    read = set().union(*(ex.identifiers(e)[0] for e in exprs if isinstance(e, ex.Expr)))
+    # a value reads only earlier parameters, so one pass from the last suffices
+    for name, value in reversed(model.parameters.items()):
+        if name in read and isinstance(value, ex.Expr):
+            read |= ex.identifiers(value)[0]
+    return read
 
 
 def _load_model(path, overrides):

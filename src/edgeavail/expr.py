@@ -15,20 +15,27 @@ first::
     NUMBER | IDENT | #IDENT | min(e, ...) | max(e, ...) | ( e )
 
 ``IDENT`` is a parameter reference, ``#IDENT`` the token count of a place.
-A ``#`` *not* immediately followed by an identifier character starts a
+An identifier starts with an ASCII letter or ``_`` and continues with word
+characters.  A ``#`` *not* immediately followed by a letter or ``_`` starts a
 comment running to end of line (the model-document format relies on this).
 Number literals accept scientific notation.  Conditionals and ``and``/``or``
 evaluate lazily, so ``if #P > 0 then x / #P else y`` never divides by zero.
+
+Each decision is made in one table.  The scanner is one regular expression
+with a named group per token kind, and a character that starts no token is a
+``ParseError`` with its line and column.  The precedence table ``_PREC``
+drives both the parser (precedence climbing) and the printer.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import DivisionByZero, ParseError, UnknownIdentifier
+from .errors import DivisionByZero, ParseError, SemanticError, UnknownIdentifier
 
 KEYWORDS = frozenset({"if", "then", "else", "and", "or", "not", "min", "max"})
 
@@ -120,68 +127,46 @@ class Token:
     column: int
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
-_SYMBOLS = ("<=", ">=", "!=", "+=", "-=", "<", ">", "=", "+", "-", "*", "/",
-            "(", ")", ",", "{", "}", ";")
+# One pattern, one named group per token kind; BAD catches what starts none.
+_TOKEN_RE = re.compile(r"""
+    (?P<BLANK> [ \t\r]* )
+    (?: (?P<NEWLINE> \n )
+      | \# (?P<REF> [A-Za-z_]\w* )
+      | (?P<EOF> (?: \#[^\n]* )? \Z )         # a trailing comment keeps its column
+      | (?P<COMMENT> \#[^\n]* )
+      | " (?P<STRING> [^"]* ) "
+      | (?P<UNTERMINATED> " )
+      | (?P<NUMBER> (?: \d+\.?\d* | \.\d+ ) (?: [eE][+-]?\d+ )? )
+      | (?P<IDENT> [A-Za-z_]\w* )
+      | (?P<SYMBOL> [<>!+-]= | [-<>=+*/(),{};] )
+      | (?P<BAD> . )
+    )""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            if i + 1 < n and (text[i + 1].isalpha() or text[i + 1] == "_"):
-                m = _IDENT_RE.match(text, i + 1)
-                tokens.append(Token("REF", m.group(), line, col))
-                col += m.end() - i
-                i = m.end()
-                continue
-            # comment to end of line
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("STRING", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+    line, line_start = 1, 0   # line_start: index of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.end("BLANK")
+        col = start - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind in ("COMMENT", "EOF") and text[start + 1:start + 2].isalpha():
+            # '#' then a letter no identifier starts with: neither REF nor comment
+            raise ParseError(f"unexpected character {text[start + 1]!r}", line, col + 1)
+        elif kind == "EOF":
+            tokens.append(Token("EOF", "", line, col))
+            return tokens
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated string", line, col)
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
+        elif kind != "COMMENT":
+            value = m.group(kind)
+            tokens.append(Token(value if kind == "SYMBOL" else kind, value, line, col))
+            if kind == "STRING" and "\n" in value:   # a quoted expression may span lines
+                line += value.count("\n")
+                line_start = m.start(kind) + value.rindex("\n") + 1
 
 
 class TokenCursor:
@@ -204,9 +189,6 @@ class TokenCursor:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def at_keyword(self, word: str) -> bool:
-        return self.at("IDENT", word)
-
     def expect(self, kind: str, text: str | None = None, expected=None) -> Token:
         t = self.peek()
         if not self.at(kind, text):
@@ -225,73 +207,51 @@ class TokenCursor:
         )
 
 
-# ── Recursive-descent parser ─────────────────────────────────────────────────
+# ── Parser: precedence climbing over the printer's table ────────────────────
 
-_CMP_OPS = ("<", "<=", ">", ">=", "=", "!=")
+_PREC = {"cond": 1, "or": 2, "and": 3, "not": 4, "cmp": 5, "add": 6, "mul": 7,
+         "neg": 8, "atom": 9}
+_OP_PREC = {"or": "or", "and": "and",
+            "<": "cmp", "<=": "cmp", ">": "cmp", ">=": "cmp", "=": "cmp", "!=": "cmp",
+            "+": "add", "-": "add", "*": "mul", "/": "mul"}
+_BINARY = {op: _PREC[level] for op, level in _OP_PREC.items()}
+_COND, _NOT, _CMP = _PREC["cond"], _PREC["not"], _PREC["cmp"]
 
 
 def parse_expr(cur: TokenCursor) -> Expr:
     """Parse one expression from the cursor, leaving trailing tokens in place."""
-    return _conditional(cur)
+    return _parse(cur, _COND)
 
 
-def _conditional(cur):
-    if cur.at_keyword("if"):
+def _parse(cur, lowest):
+    """An expression whose operators all bind at least ``lowest`` tightly.
+
+    ``if`` is taken only at the ``cond`` level, ``not`` at or below ``not``.
+    After an operator of precedence p the next binds at most p tightly, at
+    most p - 1 after a comparison (they do not chain) and at most ``not``
+    after a prefix ``not``."""
+    t = cur.peek()
+    if t.kind == "IDENT" and t.text == "if" and lowest <= _COND:
         cur.next()
-        test = _conditional(cur)
+        test = _parse(cur, _COND)
         cur.expect("IDENT", "then", {"'then'"})
-        if_true = _conditional(cur)
+        if_true = _parse(cur, _COND)
         cur.expect("IDENT", "else", {"'else'"})
-        if_false = _conditional(cur)
-        return Cond(test, if_true, if_false)
-    return _or(cur)
-
-
-def _or(cur):
-    left = _and(cur)
-    while cur.at_keyword("or"):
+        return Cond(test, if_true, _parse(cur, _COND))
+    if t.kind == "IDENT" and t.text == "not" and lowest <= _NOT:
         cur.next()
-        left = BinOp("or", left, _and(cur))
-    return left
-
-
-def _and(cur):
-    left = _not(cur)
-    while cur.at_keyword("and"):
+        left, limit = Not(_parse(cur, _NOT)), _NOT
+    else:
+        left, limit = _factor(cur), _PREC["atom"]
+    while True:
+        t = cur.peek()
+        op = t.text if t.kind == "IDENT" else t.kind
+        prec = _BINARY.get(op)
+        if prec is None or not lowest <= prec <= limit:
+            return left
         cur.next()
-        left = BinOp("and", left, _not(cur))
-    return left
-
-
-def _not(cur):
-    if cur.at_keyword("not"):
-        cur.next()
-        return Not(_not(cur))
-    return _comparison(cur)
-
-
-def _comparison(cur):
-    left = _additive(cur)
-    if cur.peek().kind in _CMP_OPS:
-        op = cur.next().kind
-        return BinOp(op, left, _additive(cur))
-    return left
-
-
-def _additive(cur):
-    left = _term(cur)
-    while cur.peek().kind in ("+", "-"):
-        op = cur.next().kind
-        left = BinOp(op, left, _term(cur))
-    return left
-
-
-def _term(cur):
-    left = _factor(cur)
-    while cur.peek().kind in ("*", "/"):
-        op = cur.next().kind
-        left = BinOp(op, left, _factor(cur))
-    return left
+        left = BinOp(op, left, _parse(cur, prec + 1))
+        limit = prec - 1 if prec == _CMP else prec
 
 
 def _factor(cur):
@@ -314,17 +274,17 @@ def _atom(cur):
         return TokenCount(t.text)
     if t.kind == "(":
         cur.next()
-        inner = _conditional(cur)
+        inner = parse_expr(cur)
         cur.expect(")", expected={"')'"})
         return inner
     if t.kind == "IDENT":
         if t.text in ("min", "max"):
             cur.next()
             cur.expect("(", expected={"'('"})
-            args = [_conditional(cur)]
+            args = [parse_expr(cur)]
             while cur.at(","):
                 cur.next()
-                args.append(_conditional(cur))
+                args.append(parse_expr(cur))
             cur.expect(")", expected={"')'", "','"})
             if len(args) < 2:
                 raise ParseError(f"{t.text} needs at least two arguments", t.line, t.column)
@@ -347,14 +307,9 @@ def parse_expression(text: str) -> Expr:
 
 # ── Printing (exact round-trip: parse(to_text(e)) == e) ─────────────────────
 
-_PREC = {"cond": 1, "or": 2, "and": 3, "not": 4, "cmp": 5, "add": 6, "mul": 7,
-         "neg": 8, "atom": 9}
-_OP_PREC = {"or": "or", "and": "and",
-            "<": "cmp", "<=": "cmp", ">": "cmp", ">=": "cmp", "=": "cmp", "!=": "cmp",
-            "+": "add", "-": "add", "*": "mul", "/": "mul"}
-
-
 def format_number(v: float) -> str:
+    if not math.isfinite(v):   # no literal reads back as inf or NaN
+        raise SemanticError(f"cannot write the non-finite number {v!r} as text")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -383,7 +338,7 @@ def _print(e, min_prec):
     elif isinstance(e, BinOp):
         prec = _PREC[_OP_PREC[e.op]]
         # comparisons do not chain, so both sides need parens at equal level
-        left_min = prec + 1 if e.op in _CMP_OPS else prec
+        left_min = prec + 1 if prec == _CMP else prec
         text = f"{_print(e.left, left_min)} {e.op} {_print(e.right, prec + 1)}"
     elif isinstance(e, Cond):
         prec = _PREC["cond"]

@@ -223,7 +223,7 @@ def structure_key(model: SanModel) -> tuple:
                                  for c in a.cases)))
     # repr keeps apart values that compare equal but evaluate apart (0.0, -0.0)
     values = tuple((name, repr(params.get(name))) for name in sorted(read))
-    return tuple(model.initial_marking().items()), tuple(activities), values
+    return tuple(model.initial_marking(params).items()), tuple(activities), values
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -231,12 +231,11 @@ _SOLVED = {}     # (kind, table) -> unavailability; both cluster kinds as 5GC
 _COUNTS = Counter()    # hits, misses
 
 
-def _chains(kind: ElementKind, tables):
-    """Each table's chain, its model built as asked for; the first is explored,
-    the others (of the same structure) revalue its graph."""
+def _chains(models):
+    """Each model's chain; the first is explored, the others (of the same
+    structure) revalue its graph."""
     graph = None
-    for t in tables:
-        model = build_element(kind, t)
+    for model in models:
         graph = explore(model) if graph is None else revalue(graph, model)
         yield to_ctmc(eliminate_vanishing(graph), UP)
 
@@ -254,14 +253,15 @@ def element_unavailabilities(kind: ElementKind, tables) -> list:
     if kind is ElementKind.CLUSTER_MANO:
         kind = ElementKind.CLUSTER_5GC
     tables = list(tables)
-    groups = {}
+    groups = {}   # structure key -> {table: its model, built once}
     for t in dict.fromkeys(tables):
         if (kind, t) not in _SOLVED:
-            groups.setdefault(structure_key(build_element(kind, t)), []).append(t)
+            model = build_element(kind, t)
+            groups.setdefault(structure_key(model), {})[t] = model
     misses = sum(map(len, groups.values()))
     _COUNTS.update(hits=len(tables) - misses, misses=misses)
     for group in groups.values():
-        for t, (chain, state) in zip(group, steady_state_gth_many(_chains(kind, group))):
+        for t, (chain, state) in zip(group, steady_state_gth_many(_chains(group.values()))):
             _SOLVED[kind, t] = unavailability(chain, state)
     return [_SOLVED[kind, t] for t in tables]
 

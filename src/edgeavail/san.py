@@ -97,8 +97,10 @@ class SanModel:
             values[name] = fold(value, values)
         return values
 
-    def initial_marking(self) -> Marking:
-        params = self.parameter_values()
+    def initial_marking(self, params: dict | None = None) -> Marking:
+        """The initial counts, folded over ``params`` when given (this
+        model's ``parameter_values()``, so they need not be folded again)."""
+        params = self.parameter_values() if params is None else params
         return {p.name: _tokens(p.initial_tokens, params) for p in self.places}
 
 
@@ -283,9 +285,9 @@ class CompiledModel:
         self.model = model
         self.place_order = tuple(sorted(p.name for p in model.places))
         self.index = {name: i for i, name in enumerate(self.place_order)}
-        initial = model.initial_marking()
-        self.initial = tuple(initial[name] for name in self.place_order)
         params = model.parameter_values()
+        initial = model.initial_marking(params)
+        self.initial = tuple(initial[name] for name in self.place_order)
 
         def lower(e):
             fn = ex.compile_expr(e, self.index, params)

@@ -332,6 +332,21 @@ def test_ft_non_finite_k_exits_1(capsys, tmp_path):
         "error: k must be an integer, got inf at line 1, column 1"]
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("greek.san", (DATA / "two_state.san").read_text().replace("lam", "\u03bc"),
+     "line 3, column 7"),
+    ("greek.ft", "or(basic(\u03bc, 0.1), basic(b, 0.2))", "line 1, column 10"),
+], ids=["san", "ft"])
+def test_non_ascii_name_exits_1(capsys, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    command = ("ft",) if name.endswith(".ft") else ("solve",)
+    extra = () if name.endswith(".ft") else ("--reward", "up")
+    code, out, err = run(capsys, *command, str(path), *extra)
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [f"error: unexpected character '\u03bc' at {where}"]
+
+
 def test_paper_table3_csv(capsys, tmp_path):
     out_csv = tmp_path / "t3.csv"
     code, out, _ = run(capsys, "paper", "table3", "--out", str(out_csv),
@@ -468,16 +483,25 @@ def test_out_of_domain_cluster_override_exits_64(capsys, override, message):
 
 
 def test_override_nothing_reads_exits_64(capsys, tmp_path):
-    # "twice" is read by nothing; "spare" only by twice's value, which counts
+    # "twice" is read by nothing, so "spare", read only by twice's value, is not read
     path = tmp_path / "spare.san"
     path.write_text((DATA / "two_state.san").read_text()
                     + "param spare = 1\nparam twice = 2 * spare\n")
-    for names in (["twice"], ["spare", "twice", "lam"]):
+    for names, unread in ((["twice"], "twice"), (["spare"], "spare"),
+                          (["spare", "twice", "lam"], "spare, twice")):
         code, out, err = run(capsys, "solve", str(path), "--reward", "up",
                              *(f"--set={name}=2" for name in names))
         assert code == 64 and not out
         assert err.strip().splitlines() == [
-            "usage error: --set names that nothing in the model reads: twice"]
-    code, out, _ = run(capsys, "solve", str(path), "--reward", "up", "--set", "spare=2")
+            f"usage error: --set names that nothing in the model reads: {unread}"]
+
+
+def test_override_reaches_through_parameter_chains(capsys, tmp_path):
+    # lam reads base through half; base is read, two parameters away from the rate
+    path = tmp_path / "chain.san"
+    path.write_text((DATA / "two_state.san").read_text()
+                    .replace("param lam = 0.1", "param base = 0.4\nparam half = base / 2\n"
+                             "param lam = half / 2"))
+    code, out, _ = run(capsys, "solve", str(path), "--reward", "up", "--set", "base=0.8")
     assert code == 0
-    assert float(kv(out)["unavailability"]) == pytest.approx(0.1, abs=1e-12)
+    assert float(kv(out)["unavailability"]) == pytest.approx(0.2 / 1.1, rel=1e-12)

@@ -11,7 +11,7 @@ from edgeavail.san import compiled
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
-from conftest import DATA, MODELS
+from conftest import DATA, MODELS, two_state_model
 
 MINIMAL = """\
 san-format 1
@@ -133,6 +133,20 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_model("san-format 1\nparam lam = 1 + * 2\n")
     assert err.value.line == 2
+
+
+def test_positions_after_a_two_line_quoted_rate():
+    text = MINIMAL.replace('rate "lam"', 'rate "lam\n  * 1"')
+    with pytest.raises(ParseError, match=r"^unexpected IDENT 'bogus' at line 15, column 1"):
+        parse_model(text + "bogus\n")
+    with pytest.raises(ParseError, match=r"^unexpected IDENT 'oops' at line 6, column 8"):
+        parse_model(text.replace('* 1" {', '* 1" oops {'))
+    assert parse_model(text).activities[0].rate == P("lam * 1")
+
+
+def test_non_finite_value_is_not_serialized():
+    with pytest.raises(SemanticError, match=r"non-finite number inf"):
+        serialize_model(two_state_model(lam=float("inf")))
 
 
 def test_two_state_fixture_solves_to_one_tenth():

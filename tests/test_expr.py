@@ -2,6 +2,9 @@
 
 ``eval_expr`` below is a plain tree walk over the AST.  It is the reference
 that the package's only evaluator, ``compile_expr``, is checked against.
+``reference_parse`` is a recursive-descent cascade, one function per
+precedence level; it is the reference for the package's precedence-climbing
+parser.
 """
 
 import random
@@ -10,9 +13,11 @@ from typing import Mapping
 import pytest
 
 from edgeavail import expr as ex
-from edgeavail.errors import DivisionByZero, ParseError, UnknownIdentifier
-from edgeavail.expr import (BinOp, Call, Cond, Expr, Neg, Not, Num, Param,
-                            TokenCount, parse_expression, to_text)
+from edgeavail.errors import (DivisionByZero, ParseError, SemanticError,
+                              UnknownIdentifier)
+from edgeavail.expr import (KEYWORDS, BinOp, Call, Cond, Expr, Neg, Not, Num,
+                            Param, TokenCount, TokenCursor, parse_expression,
+                            to_text, tokenize)
 
 
 def eval_expr(e: Expr, marking: Mapping[str, float] | None, params: Mapping[str, float]) -> float:
@@ -80,6 +85,117 @@ def eval_expr(e: Expr, marking: Mapping[str, float] | None, params: Mapping[str,
         if op == "!=":
             return 1.0 if a != b else 0.0
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ── reference parser: one function per precedence level ─────────────────────
+
+def reference_parse(text: str) -> Expr:
+    cur = TokenCursor(tokenize(text))
+    e = _conditional(cur)
+    if not cur.at("EOF"):
+        raise cur.fail({"end of input", "an operator"})
+    return e
+
+
+def _conditional(cur):
+    if cur.at("IDENT", "if"):
+        cur.next()
+        test = _conditional(cur)
+        cur.expect("IDENT", "then", {"'then'"})
+        if_true = _conditional(cur)
+        cur.expect("IDENT", "else", {"'else'"})
+        if_false = _conditional(cur)
+        return Cond(test, if_true, if_false)
+    return _or(cur)
+
+
+def _or(cur):
+    left = _and(cur)
+    while cur.at("IDENT", "or"):
+        cur.next()
+        left = BinOp("or", left, _and(cur))
+    return left
+
+
+def _and(cur):
+    left = _not(cur)
+    while cur.at("IDENT", "and"):
+        cur.next()
+        left = BinOp("and", left, _not(cur))
+    return left
+
+
+def _not(cur):
+    if cur.at("IDENT", "not"):
+        cur.next()
+        return Not(_not(cur))
+    return _comparison(cur)
+
+
+def _comparison(cur):
+    left = _additive(cur)
+    if cur.peek().kind in ("<", "<=", ">", ">=", "=", "!="):
+        op = cur.next().kind
+        return BinOp(op, left, _additive(cur))
+    return left
+
+
+def _additive(cur):
+    left = _term(cur)
+    while cur.peek().kind in ("+", "-"):
+        op = cur.next().kind
+        left = BinOp(op, left, _term(cur))
+    return left
+
+
+def _term(cur):
+    left = _factor(cur)
+    while cur.peek().kind in ("*", "/"):
+        op = cur.next().kind
+        left = BinOp(op, left, _factor(cur))
+    return left
+
+
+def _factor(cur):
+    if cur.at("-"):
+        cur.next()
+        operand = _factor(cur)
+        if isinstance(operand, Num):
+            return Num(-operand.value)
+        return Neg(operand)
+    return _atom(cur)
+
+
+def _atom(cur):
+    t = cur.peek()
+    if t.kind == "NUMBER":
+        cur.next()
+        return Num(float(t.text))
+    if t.kind == "REF":
+        cur.next()
+        return TokenCount(t.text)
+    if t.kind == "(":
+        cur.next()
+        inner = _conditional(cur)
+        cur.expect(")", expected={"')'"})
+        return inner
+    if t.kind == "IDENT":
+        if t.text in ("min", "max"):
+            cur.next()
+            cur.expect("(", expected={"'('"})
+            args = [_conditional(cur)]
+            while cur.at(","):
+                cur.next()
+                args.append(_conditional(cur))
+            cur.expect(")", expected={"')'", "','"})
+            if len(args) < 2:
+                raise ParseError(f"{t.text} needs at least two arguments", t.line, t.column)
+            return Call(t.text, tuple(args))
+        if t.text in KEYWORDS:
+            raise cur.fail({"a value"})
+        cur.next()
+        return Param(t.text)
+    raise cur.fail({"a number", "an identifier", "'#place'", "'('"})
 
 
 def ev(text, marking=None, params=None):
@@ -177,7 +293,8 @@ def test_malformed_inputs_raise_parse_error(bad):
 
 def test_parser_never_crashes_on_garbage_bytes():
     rng = random.Random(20240917)
-    alphabet = "abcdef#()+-*/<>=!., \t\n\"0123456789_ifthenelseandornot{};"
+    alphabet = ("abcdef#()+-*/<>=!., \t\n\"0123456789_ifthenelseandornot{};"
+                "\u00e9\u03bc\u00b2\u00a0")
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
         try:
@@ -268,3 +385,81 @@ def test_number_formats():
     assert ev("1e3") == 1000.0
     assert ev(".5 + 0.5") == 1.0
     assert ev("2E-2") == 0.02
+
+
+def _result(parse, text):
+    """The parsed tree, or everything a ``ParseError`` reports."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.column, err.expected
+
+
+_TOKENS = ("if", "then", "else", "and", "or", "not", "min", "max", "(", ")",
+           ",", "-", "+", "*", "/", "<", "<=", ">", ">=", "=", "!=", "1",
+           "2.5", "a", "b", "#P", "#Q")
+
+
+def test_parser_agrees_with_reference_cascade():
+    rng = random.Random(2026)
+    parsed = 0
+    for _ in range(20_000):
+        text = " ".join(rng.choice(_TOKENS) for _ in range(rng.randint(1, 14)))
+        got = _result(parse_expression, text)
+        assert got == _result(reference_parse, text), text
+        parsed += not isinstance(got, tuple)
+    assert parsed > 300   # enough of the strings are expressions
+
+
+@pytest.mark.parametrize("text, where", [
+    ("\u03bc + 1", (1, 1)),
+    ("x + \u00e9", (1, 5)),
+    ("#\u00e9", (1, 2)),          # neither a place reference nor a comment
+    ("#\u03bc_up >= 1", (1, 2)),
+    ("2\u00b2", (1, 2)),
+    ("1 +\n  \u00a0", (2, 3)),
+])
+def test_non_ascii_character_is_a_parse_error(text, where):
+    with pytest.raises(ParseError, match=r"^unexpected character ") as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == where
+
+
+def test_non_ascii_word_characters_continue_identifiers():
+    assert parse_expression("r\u00e9sum\u00e9 + #P\u00b2") == \
+        BinOp("+", Param("r\u00e9sum\u00e9"), TokenCount("P\u00b2"))
+
+
+def _positions(text):
+    return [(t.kind, t.line, t.column) for t in tokenize(text)]
+
+
+def test_column_after_place_reference():
+    assert _positions("#Up + 1") == [("REF", 1, 1), ("+", 1, 5), ("NUMBER", 1, 7),
+                                     ("EOF", 1, 8)]
+
+
+def test_column_after_string():
+    assert _positions('"ab" x') == [("STRING", 1, 1), ("IDENT", 1, 6), ("EOF", 1, 7)]
+
+
+def test_carriage_return_counts_as_a_column():
+    assert _positions("a\r\nb \rc") == [("IDENT", 1, 1), ("IDENT", 2, 1),
+                                         ("IDENT", 2, 4), ("EOF", 2, 5)]
+
+
+def test_end_of_input_after_trailing_comment_stays_at_the_comment():
+    assert _positions("x # note") == [("IDENT", 1, 1), ("EOF", 1, 3)]
+    assert _positions("x\n  # note") == [("IDENT", 1, 1), ("EOF", 2, 3)]
+    assert _positions("x  ") == [("IDENT", 1, 1), ("EOF", 1, 4)]
+
+
+def test_lines_advance_inside_a_string():
+    tokens = tokenize('"a\n  b" c\nd')
+    assert [(t.text, t.line, t.column) for t in tokens[1:3]] == [("c", 2, 6), ("d", 3, 1)]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_number_has_no_text(value):
+    with pytest.raises(SemanticError, match=f"non-finite number {value!r}"):
+        to_text(Num(value))

@@ -193,7 +193,7 @@ def counted_explore(monkeypatch):
 
 
 def _assert_same_chains(kind, tables):
-    warm = md._chains(kind, tables)
+    warm = md._chains([md.build_element(kind, t) for t in tables])
     for t, chain in zip(tables, warm, strict=True):
         cold = to_ctmc(eliminate_vanishing(explore(md.build_element(kind, t))), "up")
         assert chain.states == cold.states
