@@ -7,8 +7,8 @@ through a fault tree.  Ships five ready-made element models plus the sweep
 studies built on them.
 """
 
-from .errors import (DenseBlockTooLarge, DivisionByZero, EdgeavailError,
-                     EvaluationError, NegativeTokens, NotConverged,
+from .errors import (ComputationError, DenseBlockTooLarge, DivisionByZero,
+                     EdgeavailError, EvaluationError, NegativeTokens, NotConverged,
                      NotIrreducible, ParseError, SemanticError,
                      SparseStagesTooLarge, StateSpaceExceeded,
                      UnknownIdentifier, UnknownReward, VanishingLivelock,

@@ -30,10 +30,7 @@ from . import experiments as xp
 from . import expr as ex
 from . import models as md
 from .document import parse_model
-from .errors import (DenseBlockTooLarge, EdgeavailError, NotConverged,
-                     NotIrreducible, ParseError, SemanticError,
-                     SparseStagesTooLarge, StateSpaceExceeded,
-                     VanishingLivelock, VanishingLoop)
+from .errors import ComputationError, EdgeavailError
 from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
 from .san import validate
 from .simulator import MAX_BATCHES, simulate
@@ -44,10 +41,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 EXIT_USAGE = 64
-
-_COMPUTE_ERRORS = (NotIrreducible, NotConverged, VanishingLoop,
-                   VanishingLivelock, StateSpaceExceeded, DenseBlockTooLarge,
-                   SparseStagesTooLarge)
 
 
 class UsageError(Exception):
@@ -278,11 +271,10 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except _COMPUTE_ERRORS as err:
+    except ComputationError as err:
         print(f"computation error: {err}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (ParseError, SemanticError, FileNotFoundError, IsADirectoryError,
-            EdgeavailError, ValueError) as err:
+    except (EdgeavailError, FileNotFoundError, IsADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,8 +29,10 @@ probabilities may be expressions over previously declared parameters
 expression, serialization writes it back, and replacing a parameter changes
 every value derived from it.
 
-``parse_model(serialize_model(m))`` reproduces ``m`` exactly, and
-serialization is deterministic, so serialized text is a fixpoint.
+``parse_model`` reads syntax and builds; ``san.validate`` judges, as for a
+model built in code.  A model ``m`` that ``validate`` accepts, with finite
+literals in the parser's form (``Num(-2.0)``, not ``Neg(Num(2.0))``), has
+``parse_model(serialize_model(m)) == m``; serialized text is a fixpoint.
 """
 
 from __future__ import annotations
@@ -45,21 +47,14 @@ HEADER = "san-format 1"
 _STATEMENT_WORDS = {"param", "place", "activity", "reward"}
 
 
-def _declared(e: ex.Expr, params: dict, what: str):
-    """``e`` as a model value: a literal as its number, else the expression,
-    which may read only parameters declared before it."""
-    p, places = ex.identifiers(e)
-    if places:
-        raise SemanticError(f"{what} must not reference places: #{sorted(places)[0]}")
-    missing = sorted(p - set(params))
-    if missing:
-        raise SemanticError(f"{what} references undeclared parameter '{missing[0]}' "
-                            "(parameters fold in declaration order)")
+def _value(e: ex.Expr):
+    """A literal as its number; anything else stays the expression."""
     return e.value if isinstance(e, ex.Num) else e
 
 
 def parse_model(text: str) -> SanModel:
-    """Parse a document into a validated model."""
+    """Parse a document into a model.  Bad syntax and a repeated ``param`` raise
+    at once, and what ``validate`` finds as one ``SemanticError``."""
     lines = text.split("\n")
     header_at = None
     for i, line in enumerate(lines):
@@ -112,15 +107,6 @@ def parse_model(text: str) -> SanModel:
     places: list[Place] = []
     activities: list[Activity] = []
     rewards: list[RewardPredicate] = []
-    declared: set[str] = set()
-
-    def declare(name_tok, what):
-        if name_tok.text in declared:
-            raise SemanticError(f"duplicate name '{name_tok.text}' "
-                                f"(redeclared as {what} at line {name_tok.line})")
-        if name_tok.text in ex.KEYWORDS:
-            raise SemanticError(f"{what} name '{name_tok.text}' is a reserved word")
-        declared.add(name_tok.text)
 
     while not cur.at("EOF"):
         t = cur.peek()
@@ -130,23 +116,17 @@ def parse_model(text: str) -> SanModel:
 
         if word == "param":
             name = cur.expect("IDENT", expected={"a parameter name"})
-            declare(name, "parameter")
+            if name.text in params:   # the model's dict could not hold both values
+                raise SemanticError(f"duplicate parameter name '{name.text}' "
+                                    f"at line {name.line}")
             cur.expect("=", expected={"'='"})
-            params[name.text] = _declared(ex.parse_expr(cur), params,
-                                          f"parameter '{name.text}'")
+            params[name.text] = _value(ex.parse_expr(cur))
 
         elif word == "place":
             name = cur.expect("IDENT", expected={"a place name"})
-            declare(name, "place")
             cur.expect("=", expected={"'='"})
-            start = cur.pos
-            count = _declared(ex.parse_expr(cur), params,
-                              f"initial count of place '{name.text}'")
-            if not isinstance(count, ex.Expr):
-                if not count.is_integer():   # false for inf too
-                    text = "".join(t.text for t in cur.tokens[start:cur.pos])
-                    raise SemanticError(f"place '{name.text}' needs an integer "
-                                        f"initial count, got {text}")
+            count = _value(ex.parse_expr(cur))
+            if isinstance(count, float) and count.is_integer():   # false for inf
                 count = int(count)
             places.append(Place(name.text, count))
 
@@ -157,7 +137,6 @@ def parse_model(text: str) -> SanModel:
                                  kind.line, kind.column,
                                  {"'timed'", "'instant'"})
             name = cur.expect("IDENT", expected={"an activity name"})
-            declare(name, "activity")
             rate = None
             if kind.text == "timed":
                 cur.expect("IDENT", "rate", expected={"'rate'"})
@@ -169,9 +148,7 @@ def parse_model(text: str) -> SanModel:
             cases = []
             while cur.at("IDENT", "case"):
                 cur.next()
-                prob = _declared(ex.parse_expr(cur), params,
-                                 f"case probability in '{name.text}'")
-                cases.append(CaseSpec(prob, parse_effects()))
+                cases.append(CaseSpec(_value(ex.parse_expr(cur)), parse_effects()))
             cur.expect("}", expected={"'case'", "'}'"})
             activities.append(Activity(name.text, rate,
                                        InputSpec(predicate, input_effects),
@@ -185,7 +162,6 @@ def parse_model(text: str) -> SanModel:
 
     model = SanModel(tuple(places), params, tuple(activities), tuple(rewards),
                      description=description)
-    model.parameter_values()   # a parameter that fails to fold raises as itself
     diags = validate(model)
     if diags:
         raise SemanticError("invalid model: " + "; ".join(diags))

@@ -48,6 +48,10 @@ class NonFiniteExitRate(EvaluationError):
         super().__init__(f"exit rate {rate!r} in marking {marking} is not finite")
 
 
+class ComputationError(EdgeavailError):
+    """A valid model that exploration, solving or simulation cannot finish."""
+
+
 class NegativeTokens(EdgeavailError):
     def __init__(self, place, activity):
         self.place = place
@@ -57,21 +61,21 @@ class NegativeTokens(EdgeavailError):
         )
 
 
-class StateSpaceExceeded(EdgeavailError):
+class StateSpaceExceeded(ComputationError):
     def __init__(self, max_states):
         self.max_states = max_states
         super().__init__(f"state space exceeds max_states={max_states}")
 
 
-class VanishingLoop(EdgeavailError):
+class VanishingLoop(ComputationError):
     """A cycle of vanishing markings with return probability ~1."""
 
 
-class NotIrreducible(EdgeavailError):
+class NotIrreducible(ComputationError):
     """The tangible chain is not a single strongly connected class."""
 
 
-class DenseBlockTooLarge(EdgeavailError):
+class DenseBlockTooLarge(ComputationError):
     """Exact elimination would leave a dense block too large to allocate."""
 
     def __init__(self, size, limit):
@@ -83,7 +87,7 @@ class DenseBlockTooLarge(EdgeavailError):
             "use --method iter")
 
 
-class SparseStagesTooLarge(EdgeavailError):
+class SparseStagesTooLarge(ComputationError):
     """Exact elimination's sparse stages outgrew their memory budget."""
 
     def __init__(self, nbytes, states, limit):
@@ -101,7 +105,7 @@ class UnknownReward(EdgeavailError):
         super().__init__(f"unknown reward '{name}' (declared: {', '.join(known) or 'none'})")
 
 
-class NotConverged(EdgeavailError):
+class NotConverged(ComputationError):
     def __init__(self, iterations, change, residual):
         self.iterations = iterations
         self.change = change
@@ -112,7 +116,7 @@ class NotConverged(EdgeavailError):
         )
 
 
-class VanishingLivelock(EdgeavailError):
+class VanishingLivelock(ComputationError):
     def __init__(self, limit):
         super().__init__(
             f"more than {limit} consecutive instantaneous firings without time advance"

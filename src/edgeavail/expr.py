@@ -311,7 +311,7 @@ def format_number(v: float) -> str:
     if not math.isfinite(v):   # no literal reads back as inf or NaN
         raise SemanticError(f"cannot write the non-finite number {v!r} as text")
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"   # keeps the sign of -0.0
     return repr(v)
 
 
@@ -321,7 +321,8 @@ def to_text(e: Expr) -> str:
 
 def _print(e, min_prec):
     if isinstance(e, Num):
-        text, prec = format_number(e.value), _PREC["atom" if e.value >= 0 else "neg"]
+        negative = math.copysign(1.0, e.value) < 0   # -0.0 included
+        text, prec = format_number(e.value), _PREC["neg" if negative else "atom"]
     elif isinstance(e, Param):
         text, prec = e.name, _PREC["atom"]
     elif isinstance(e, TokenCount):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -135,24 +136,37 @@ def set_to(place: str, value) -> Effect:
 # ── validation ───────────────────────────────────────────────────────────────
 
 PROB_SUM_TOL = 1e-12
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")   # an IDENT token, as ``expr`` reads one
 
 
 def validate(model: SanModel) -> list[str]:
     """Return every violation found; an empty list means the model is well-formed.
 
-    Parameter values, initial counts and case probabilities are checked as
-    they fold.  A value that fails to fold is reported once; the values
-    derived from it are not checked.
+    The one judge of a model, parsed, overridden or built in code.  Names are
+    identifiers; parameter, place and activity names share one namespace,
+    unique and free of keywords, and reward names are unique.  Values,
+    counts and probabilities are checked as they fold; one that fails to
+    fold is reported once, and the values derived from it are not checked.
     """
     diags = []
-    place_names = set()
-    for p in model.places:
-        if p.name in place_names:
-            diags.append(f"duplicate place name '{p.name}'")
-        place_names.add(p.name)
-        if p.name in ex.KEYWORDS:
-            diags.append(f"place name '{p.name}' is a reserved word")
-
+    shared, rewards = {}, {}   # a name -> the kind that declared it first
+    for kind, names, seen in (("parameter", model.parameters, shared),
+                              ("place", [p.name for p in model.places], shared),
+                              ("activity", [a.name for a in model.activities], shared),
+                              ("reward", [r.name for r in model.rewards], rewards)):
+        for name in names:
+            if not _IDENTIFIER.fullmatch(name):
+                diags.append(f"{kind} name '{name}' is not an identifier")
+            elif name in ex.KEYWORDS and kind != "reward":
+                diags.append(f"{kind} name '{name}' is a reserved word")
+            elif name not in seen:
+                seen[name] = kind
+            elif seen[name] == kind:
+                diags.append(f"duplicate {kind} name '{name}'")
+            else:
+                an = "an" if kind == "activity" else "a"
+                diags.append(f"name '{name}' declared as both a {seen[name]} and {an} {kind}")
+    place_names = {p.name for p in model.places}
     params = {}   # the values folded so far
 
     def folded(fn, value, where, readable):
@@ -175,10 +189,6 @@ def validate(model: SanModel) -> list[str]:
 
     earlier = set()
     for name, value in model.parameters.items():
-        if name in ex.KEYWORDS:
-            diags.append(f"parameter name '{name}' is a reserved word")
-        if name in place_names:
-            diags.append(f"name '{name}' declared as both a parameter and a place")
         v = folded(fold, value, f"parameter '{name}'", earlier)
         earlier.add(name)
         if v is None:
@@ -212,12 +222,8 @@ def validate(model: SanModel) -> list[str]:
                 diags.append(f"{where}: bad effect operator '{eff.op}'")
             check_expr(eff.value, where)
 
-    seen_acts = set()
     for a in model.activities:
         where = f"activity '{a.name}'"
-        if a.name in seen_acts:
-            diags.append(f"duplicate activity name '{a.name}'")
-        seen_acts.add(a.name)
         if a.rate is not None:
             check_expr(a.rate, f"{where} rate")
             if isinstance(a.rate, ex.Num) and a.rate.value <= 0:
@@ -235,11 +241,7 @@ def validate(model: SanModel) -> list[str]:
         if a.cases and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             diags.append(f"{where}: case probabilities sum to {sum(probs)!r}")
 
-    seen_rewards = set()
     for r in model.rewards:
-        if r.name in seen_rewards:
-            diags.append(f"duplicate reward name '{r.name}'")
-        seen_rewards.add(r.name)
         check_expr(r.predicate, f"reward '{r.name}'")
 
     return diags

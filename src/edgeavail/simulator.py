@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteExitRate, VanishingLivelock
+from .errors import NonFiniteExitRate, UnknownReward, VanishingLivelock
 from .san import SanModel, compiled
 from .statespace import DEFAULT_MAX_STATES
 
@@ -66,7 +66,7 @@ def _check_common(model, reward, horizon, warmup, seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cm = compiled(model)
     if reward not in cm.rewards:
-        raise ValueError(f"model has no reward named '{reward}'")
+        raise UnknownReward(reward, list(cm.rewards))
     if not math.isfinite(horizon):
         raise ValueError(f"need a finite horizon, got {horizon}")
     if warmup is None:

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
+from edgeavail import cli, errors, solver
 from edgeavail import models as md
-from edgeavail import solver
 from edgeavail.cli import main
 from edgeavail.document import parse_model
 
@@ -103,6 +103,34 @@ def test_solve_oversized_sparse_stages_exit_2(capsys, monkeypatch):
     assert code == 2 and not out
     assert "computation error" in err and "sparse stages" in err
     assert "--method iter" in err
+
+
+_COMPUTATION_ERRORS = [errors.NotIrreducible("reducible"), errors.NotConverged(7, 1e-3, 2e-3),
+                       errors.VanishingLoop("loop"), errors.VanishingLivelock(100),
+                       errors.StateSpaceExceeded(5), errors.DenseBlockTooLarge(9, 4),
+                       errors.SparseStagesTooLarge(10**6, 9, 10**5)]
+
+
+def test_computation_errors_are_the_seven():
+    assert set(errors.ComputationError.__subclasses__()) == \
+        {type(err) for err in _COMPUTATION_ERRORS}
+
+
+@pytest.mark.parametrize("error", _COMPUTATION_ERRORS, ids=lambda e: type(e).__name__)
+def test_computation_error_exits_2(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_ft", fail)
+    code, out, err = run(capsys, "ft", "--paper")
+    assert code == 2 and not out
+    assert err.strip().splitlines() == [f"computation error: {error}"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_unknown_reward_exits_1(capsys, command):
+    code, out, err = run(capsys, command, TWO_STATE, "--reward", "nope")
+    assert code == 1 and not out
+    assert err.strip().splitlines() == ["error: unknown reward 'nope' (declared: up)"]
 
 
 def test_solve_set_override(capsys):
@@ -238,7 +266,7 @@ def test_non_finite_initial_count_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "solve", str(path), "--reward", "up")
     assert code == 1 and not out
     assert err.strip().splitlines() == [
-        "error: place 'Up' needs an integer initial count, got 1e400"]
+        "error: invalid model: place 'Up' has non-integer initial tokens (inf)"]
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])

@@ -5,7 +5,7 @@ import pytest
 from edgeavail import models as md
 from edgeavail.document import parse_model, serialize_model
 from edgeavail.cli import main
-from edgeavail.errors import DivisionByZero, ParseError, SemanticError
+from edgeavail.errors import ParseError, SemanticError
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import compiled
 from edgeavail.solver import steady_state_gth, unavailability
@@ -78,11 +78,12 @@ def _with_params(*lines):
 
 
 def test_folding_division_by_zero_names_the_expression():
-    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
+    bad = r"^invalid model: parameter 'x': division by zero in "
+    with pytest.raises(SemanticError, match=bad + r"1 / 0$"):
         parse_model(_with_params("param x = 1 / 0"))
-    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / 0$"):
+    with pytest.raises(SemanticError, match=bad + r"1 / 0$"):
         parse_model(_with_params("param x = (1 / 0) / 0"))
-    with pytest.raises(DivisionByZero, match=r"^division by zero in 1 / a$"):
+    with pytest.raises(SemanticError, match=bad + r"1 / a$"):
         parse_model(_with_params("param a = 0", "param x = 1 / a"))
 
 
@@ -97,7 +98,48 @@ def test_solve_reports_a_folding_error_on_one_line(tmp_path, capsys):
     code = main(["solve", str(path), "--reward", "up"])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
-    assert captured.err.strip().splitlines() == ["error: division by zero in 1 / a"]
+    assert captured.err.strip().splitlines() == [
+        "error: invalid model: parameter 'x': division by zero in 1 / a"]
+
+
+def test_fold_error_reads_alike_in_a_document_and_through_set(tmp_path, capsys):
+    # a document and an override leaving the same value to fold name it alike
+    text = (DATA / "two_state.san").read_text()
+    path = tmp_path / "zero.san"
+    for value, argv in (("0", []), ("1", ["--set", "a=0"])):
+        path.write_text(text.replace("param mu = 0.9",
+                                     f"param a = {value}\nparam mu = 0.9 / a"))
+        code = main(["solve", str(path), "--reward", "up", *argv])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == (64 if argv else 1) and len(lines) == 1
+        assert lines[0].endswith(": parameter 'mu': division by zero in 0.9 / a")
+
+
+def test_repeated_parameter_rejected_with_its_line():
+    with pytest.raises(SemanticError, match=r"duplicate .*'a'.* line 3\b"):
+        parse_model(_with_params("param a = 1", "param a = 2"))
+
+
+def test_parse_leaves_every_semantic_rule_to_validate():
+    # each would have stopped the parse at its statement; validate names all
+    text = _with_params("param if = 1", "param r = #P", "place r = 1.5",
+                        "param late = early", "param early = 1")
+    with pytest.raises(SemanticError) as err:
+        parse_model(text)
+    assert str(err.value) == (
+        "invalid model: parameter name 'if' is a reserved word; "
+        "name 'r' declared as both a parameter and a place; "
+        "parameter 'r' must not reference places: #P; "
+        "parameter 'late' references undeclared parameter 'early' "
+        "(parameters fold in declaration order); "
+        "place 'r' has non-integer initial tokens (1.5)")
+
+
+def test_negative_zero_round_trips():
+    m = parse_model(_with_params("param z = -0.0"))
+    assert repr(m.parameters["z"]) == "-0.0"
+    back = parse_model(serialize_model(m))
+    assert repr(back.parameters["z"]) == "-0.0"
 
 
 def test_case_probabilities_fold_over_parameters():

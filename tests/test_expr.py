@@ -463,3 +463,10 @@ def test_lines_advance_inside_a_string():
 def test_non_finite_number_has_no_text(value):
     with pytest.raises(SemanticError, match=f"non-finite number {value!r}"):
         to_text(Num(value))
+
+
+def test_negative_zero_keeps_its_sign():
+    assert to_text(Num(-0.0)) == "-0" and to_text(Num(0.0)) == "0"
+    assert repr(parse_expression(to_text(Num(-0.0))).value) == "-0.0"
+    e = BinOp("-", Num(1.0), Num(-0.0))
+    assert repr(parse_expression(to_text(e)).right.value) == "-0.0"

@@ -55,6 +55,27 @@ def test_validate_reports_each_violation():
         assert needle in diags, f"missing diagnostic {needle!r} in:\n{diags}"
 
 
+@pytest.mark.parametrize("name, message", [
+    ("A", "name 'A' declared as both a place and an activity"),
+    ("r", "name 'r' declared as both a parameter and an activity"),
+    ("if", "activity name 'if' is a reserved word"),
+    ("a b", "activity name 'a b' is not an identifier"),
+])
+def test_validate_shares_one_namespace_with_activities(name, message):
+    m = _model([_activity(name, (CaseSpec(1.0, (put("B"),)),), rate="r")],
+               params={"r": 1.0})
+    assert validate(m) == [message]
+
+
+def test_validate_reports_names_that_are_not_identifiers():
+    m = _model([_activity("go", (CaseSpec(1.0, (put("B"),)),), rate="1")],
+               places=(Place("A", 1), Place("B", 0), Place("2C", 0)),
+               params={"k-1": 1.0}, rewards=(RewardPredicate("up now", P("1")),))
+    assert validate(m) == ["parameter name 'k-1' is not an identifier",
+                           "place name '2C' is not an identifier",
+                           "reward name 'up now' is not an identifier"]
+
+
 @pytest.mark.parametrize("count", [1.5, True, float("nan"), "1"])
 def test_validate_reports_non_integer_initial_tokens(count):
     m = _model([_activity("go", (CaseSpec(1.0, (put("B"),)),))],

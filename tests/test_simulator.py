@@ -7,7 +7,7 @@ import pytest
 
 from edgeavail import models as md
 from edgeavail import simulator
-from edgeavail.errors import EvaluationError, VanishingLivelock
+from edgeavail.errors import EvaluationError, UnknownReward, VanishingLivelock
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, CompiledModel, InputSpec, Place,
                            RewardPredicate, SanModel, compiled, put, take,
@@ -180,7 +180,7 @@ def test_non_finite_horizon_rejected(two_state, horizon):
 
 
 def test_unknown_reward_rejected(two_state):
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownReward):
         simulate(two_state, "nope", horizon=1e4, seed=1)
 
 
