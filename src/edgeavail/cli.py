@@ -33,8 +33,10 @@ from .document import parse_model
 from .errors import ComputationError, EdgeavailError
 from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
 from .san import validate
-from .simulator import MAX_BATCHES, simulate
-from .solver import steady_state_gth, steady_state_iterative, unavailability
+from .simulator import (DEFAULT_BATCHES, DEFAULT_SEED, MAX_BATCHES, WARMUP_SHARE,
+                        simulate)
+from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, steady_state_gth,
+                     steady_state_iterative, unavailability)
 from .statespace import DEFAULT_MAX_STATES, eliminate_vanishing, explore, to_ctmc
 
 EXIT_OK = 0
@@ -60,8 +62,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("path")
     solve.add_argument("--reward", required=True)
     solve.add_argument("--method", choices=("gth", "iter"), default="gth")
-    solve.add_argument("--tol", type=float, default=1e-12)
-    solve.add_argument("--max-iter", type=int, default=1_000_000)
+    solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     solve.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     solve.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
     solve.add_argument("--json", action="store_true")
@@ -71,7 +73,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--reward", required=True)
     sim.add_argument("--horizon", type=float, default=1e6)
     sim.add_argument("--warmup", type=float, default=None)
-    sim.add_argument("--batches", type=int, default=20)
+    sim.add_argument("--batches", type=int, default=DEFAULT_BATCHES)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
     sim.add_argument("--json", action="store_true")
@@ -92,7 +94,6 @@ def _build_parser() -> _Parser:
     paper.add_argument("study", choices=tuple(xp.STUDIES))
     paper.add_argument("--out", default=None, help="CSV path ('-' for stdout)")
     paper.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
-    paper.add_argument("--jobs", type=int, default=None)
     paper.add_argument("--json", action="store_true")
     return p
 
@@ -186,7 +187,7 @@ def _cmd_simulate(args) -> int:
     if not 2 <= args.batches <= MAX_BATCHES:
         raise UsageError(f"--batches must be in [2, {MAX_BATCHES}]")
     if args.seed is None:
-        seed = os.environ.get("EDGEAVAIL_SEED", "12345")
+        seed = os.environ.get("EDGEAVAIL_SEED", str(DEFAULT_SEED))
         try:
             args.seed = int(seed)
         except ValueError:
@@ -196,6 +197,8 @@ def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     model = _load_model(args.path, _parse_overrides(args.set))
+    if args.warmup is None:
+        args.warmup = WARMUP_SHARE * args.horizon
     est = simulate(model, args.reward, args.horizon, args.warmup,
                    args.batches, args.seed)
     _emit({
@@ -203,7 +206,7 @@ def _cmd_simulate(args) -> int:
         "ci_halfwidth": est.ci_halfwidth,
         "batches": est.batches,
         "horizon": est.horizon,
-        "warmup": args.warmup if args.warmup is not None else 0.01 * args.horizon,
+        "warmup": args.warmup,
         "seed": est.seed,
     }, args.json)
     return EXIT_OK
@@ -237,13 +240,11 @@ def _cmd_ft(args) -> int:
 
 
 def _cmd_paper(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     try:
         table = md.default_table().with_overrides(**_parse_overrides(args.set))
     except (KeyError, ValueError) as err:
         raise UsageError(str(err)) from None
-    result = xp.STUDIES[args.study](table, jobs=args.jobs)
+    result = xp.STUDIES[args.study](table)
     out = args.out or f"{args.study}.csv"
     if out == "-":
         sys.stdout.write(result.to_csv())

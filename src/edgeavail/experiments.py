@@ -24,6 +24,7 @@ import datetime
 import hashlib
 import io
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .faulttree import RedundancyConfig, u_ran, u_sys
 from .models import (ElementKind, IntensityTable, element_unavailabilities,
@@ -122,8 +123,8 @@ class _SystemConfig:
     alphas: tuple | None = None
 
 
-def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
-    """System unavailability per configuration; ``jobs`` changes nothing."""
+def _evaluate(configs, t: IntensityTable) -> list:
+    """System unavailability per configuration."""
     distinct = list(dict.fromkeys(tab for c in configs for tab in (c.t_5gc, c.t_mano)))
     # both cluster kinds build the same model, so one kind stands for both
     solved = dict(zip(distinct, element_unavailabilities(ElementKind.CLUSTER_5GC, distinct)))
@@ -146,22 +147,25 @@ def _evaluate(configs, t: IntensityTable, jobs: int | None = None) -> list:
     return rows
 
 
-def run_table3(t: IntensityTable, jobs: int | None = None) -> SweepResult:
-    """The 36-row redundancy grid; both clusters at the table's (M, K)."""
+def run_table3(t: IntensityTable, jobs=None) -> SweepResult:
+    """The 36-row redundancy grid; both clusters at the table's (M, K).
+
+    ``jobs`` is ignored; it stays because ``perfbench/workloads.py`` passes it.
+    """
     configs = [
         _SystemConfig(f"N_C={nc},N_D={nd},N_R={nr},N_H={nh}",
                       RedundancyConfig(nc, nd, nr, nh), t, t)
         for nc, nd, nr, nh in TABLE3_CONFIGS
     ]
-    return _result(_evaluate(configs, t, jobs), t)
+    return _result(_evaluate(configs, t), t)
 
 
-def run_cluster_sweep(t: IntensityTable, mk_pairs=None,
-                      jobs: int | None = None) -> SweepResult:
+def run_cluster_sweep(t: IntensityTable, mk_pairs=None, jobs=None) -> SweepResult:
     """Vary cluster (M, K) — both clusters together, then each singly.
 
     Redundancy is fixed at N_C=N_D=N_R=N_H=2; the un-swept cluster keeps the
-    table's own (M, K).
+    table's own (M, K).  ``jobs`` is ignored; it stays because
+    ``perfbench/workloads.py`` passes it.
     """
     mk_pairs = list(mk_pairs or DEFAULT_MK_SWEEP)
     cfg = RedundancyConfig(2, 2, 2, 2)
@@ -175,21 +179,22 @@ def run_cluster_sweep(t: IntensityTable, mk_pairs=None,
     for m, k in mk_pairs:
         tk = t.with_overrides(M=m, K=k)
         configs.append(_SystemConfig(f"mano:(M,K)=({m},{k})", cfg, t, tk))
-    return _result(_evaluate(configs, t, jobs), t)
+    return _result(_evaluate(configs, t), t)
 
 
 REDUNDANCY_CONFIG_NAMES = ("no-redun", "ran", "meh", "5gc-and-mano",
                            "5gc-or-mano", "5g", "mec", "full")
 
 
-def run_redundancy_configs(t: IntensityTable, jobs: int | None = None) -> SweepResult:
+def run_redundancy_configs(t: IntensityTable, jobs=None) -> SweepResult:
     """Eight named setups from no redundancy to fully redundant.
 
     The reference description of the 5g/mec/full setups repeats the
     no-redundancy parameters verbatim (an evident copy-paste slip); what is
     implemented here is the evident intent: 5g = redundant access network
     plus a redundant core cluster, mec = second edge host plus a redundant
-    manager cluster, full = everything redundant.
+    manager cluster, full = everything redundant.  ``jobs`` is ignored; it
+    stays because ``perfbench/workloads.py`` passes it.
     """
     plain = t.with_overrides(M=10, K=10)
     spare = t.with_overrides(M=10, K=9)
@@ -204,17 +209,18 @@ def run_redundancy_configs(t: IntensityTable, jobs: int | None = None) -> SweepR
         _SystemConfig("mec", RedundancyConfig(1, 1, 1, 2), plain, spare),
         _SystemConfig("full", RedundancyConfig(2, 2, 2, 2), spare, spare),
     ]
-    return _result(_evaluate(configs, t, jobs), t)
+    return _result(_evaluate(configs, t), t)
 
 
 def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
-                    jobs: int | None = None) -> SweepResult:
+                    jobs=None) -> SweepResult:
     """Scale one failure-intensity multiplier at a time on the cluster model.
 
     ``targets`` picks which cluster the multiplier applies to: ``both``,
     ``5gc``, or ``mano``.  Three curves (alpha_H, alpha_O, alpha_S), each over
     ``values``; redundancy fixed at N_C=N_D=N_R=N_H=2 and clusters at the
-    table's (M, K).
+    table's (M, K).  ``jobs`` is ignored; it stays because
+    ``perfbench/workloads.py`` passes it.
     """
     if targets not in ("both", "5gc", "mano"):
         raise ValueError(f"targets must be both|5gc|mano, got {targets!r}")
@@ -232,16 +238,16 @@ def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
             configs.append(_SystemConfig(
                 f"{alpha_name}={_num(float(v))},targets={targets}", cfg, t5, tm,
                 alphas=alphas))
-    return _result(_evaluate(configs, t, jobs), t)
+    return _result(_evaluate(configs, t), t)
 
 
-# The bundled studies by name, each called as ``(table, jobs=...)``.
+# The bundled studies by name, each called as ``(table)``.
 STUDIES = {
     "table3": run_table3,
     "fig6": run_cluster_sweep,
     "fig7": run_redundancy_configs,
-    "fig8": lambda t, jobs=None: run_alpha_sweep(t, "both", jobs=jobs),
-    "fig9": lambda t, jobs=None: run_alpha_sweep(t, "mano", jobs=jobs),
+    "fig8": partial(run_alpha_sweep, targets="both"),
+    "fig9": partial(run_alpha_sweep, targets="mano"),
 }
 
 

@@ -15,15 +15,17 @@ activity network shipped as a ``.san`` document under ``elements/``:
   which K must work, with per-layer coverage and crash states.
 
 The documents are the one definition of these models.  Each declares the
-catalog entries it reads, with the defaults below as literals, and derives
-everything else from them (``lambda_Hi = alpha_H * lambda_HW * M / K``,
-``place Working = M``, ``case 1 - C_HW``).  :func:`build_element` binds a
-table's entries in place of the literals; the derived values follow.  The
-topology choices the documents make are listed in the README.
+catalog entries it reads, with :class:`IntensityTable`'s field defaults as
+literals, and derives everything else from them (``lambda_Hi = alpha_H *
+lambda_HW * M / K``, ``place Working = M``, ``case 1 - C_HW``).
+:func:`build_element` binds a table's entries in place of the literals; the
+derived values follow.  The topology choices the documents make are listed
+in the README.
 
-All rates are per hour.  Mean times from the defaults catalog convert with
-1 minute = 1/60 h, 1 day = 24 h, 1 week = 168 h, 1 month = 730 h and
-1 year = 8760 h; these constants live here and nowhere else.
+All rates are per hour.  The field defaults are the catalog, written as mean
+times that convert with 1 minute = 1/60 h, 1 day = 24 h, 1 week = 168 h,
+1 month = 730 h and 1 year = 8760 h; these constants live here and nowhere
+else.
 """
 
 from __future__ import annotations
@@ -56,46 +58,47 @@ UP = "up"  # reward name shipped with every built-in model
 
 @dataclass(frozen=True)
 class IntensityTable:
-    """Every rate (h^-1), coverage factor, and cluster setting in one place."""
+    """Every rate (h^-1), coverage factor, and cluster setting in one place;
+    each field's default is its catalog entry."""
 
-    lambda_RH: float   # radio-unit hardware failure
-    mu_RH: float       # radio-unit hardware repair
-    lambda_HW: float   # generic hardware failure
-    mu_cov: float      # manual coverage after a failed failover
-    mu_HW: float       # hardware repair
-    mu_HW_fo: float    # hardware failover
-    lambda_A: float    # antenna failure
-    mu_A: float        # antenna repair
-    lambda_FW: float   # firmware failure
-    mu_FW: float       # firmware repair
-    lambda_OS: float   # operating-system failure
-    mu_OS: float       # operating-system hard repair
-    mu_OS_r: float     # operating-system reboot
-    mu_HYP_rs: float   # restart of hypervisor plus VMs
-    lambda_HYP: float  # hypervisor failure
-    mu_HYP: float      # hypervisor hard repair
-    mu_HYP_r: float    # hypervisor restart
-    mu_VM_rs: float    # restart of VMs
-    lambda_VM: float   # VM failure
-    mu_VM: float       # VM hard repair
-    mu_VM_r: float     # VM reboot
-    lambda_APP: float  # application failure
-    mu_APP: float      # application hard repair
-    mu_APP_r: float    # application restart
-    lambda_SW: float   # software failure
-    mu_SW: float       # software hard repair
-    mu_SW_r: float     # software restart
-    C_HW: float        # hardware failover coverage
-    C_OS: float        # OS reboot/failover coverage
-    C_HYP: float       # hypervisor restart coverage
-    C_SW: float        # software restart/failover coverage
-    C_VM: float        # VM reboot coverage
-    C_APP: float       # application restart coverage
-    M: int = 10        # cluster instances
-    K: int = 9         # working instances required
-    alpha_H: float = 1.0   # hardware failure-intensity multiplier (cluster)
-    alpha_O: float = 1.0   # OS multiplier
-    alpha_S: float = 1.0   # software multiplier
+    lambda_RH: float = 1 / (17 * YEAR)     # radio-unit hardware failure
+    mu_RH: float = 1 / (6 * HOUR)          # radio-unit hardware repair
+    lambda_HW: float = 1 / (6 * MONTH)     # generic hardware failure
+    mu_cov: float = 1 / (30 * MINUTE)      # manual coverage after a failed failover
+    mu_HW: float = 1 / (2 * HOUR)          # hardware repair
+    mu_HW_fo: float = 1 / (3 * MINUTE)     # hardware failover
+    lambda_A: float = 1 / (104 * MONTH)    # antenna failure
+    mu_A: float = 1 / (6 * HOUR)           # antenna repair
+    lambda_FW: float = 1 / (75 * DAY)      # firmware failure
+    mu_FW: float = 1 / (65 * MINUTE)       # firmware repair
+    lambda_OS: float = 1 / (2 * MONTH)     # operating-system failure
+    mu_OS: float = 1 / (1 * HOUR)          # operating-system hard repair
+    mu_OS_r: float = 1 / (1 * MINUTE)      # operating-system reboot
+    mu_HYP_rs: float = 1 / (2.5 * MINUTE)  # restart of hypervisor plus VMs
+    lambda_HYP: float = 1 / (4 * MONTH)    # hypervisor failure
+    mu_HYP: float = 1 / (1 * HOUR)         # hypervisor hard repair
+    mu_HYP_r: float = 1 / (1 * MINUTE)     # hypervisor restart
+    mu_VM_rs: float = 1 / (1.5 * MINUTE)   # restart of VMs
+    lambda_VM: float = 1 / (3 * MONTH)     # VM failure
+    mu_VM: float = 1 / (1 * HOUR)          # VM hard repair
+    mu_VM_r: float = 1 / (1 * MINUTE)      # VM reboot
+    lambda_APP: float = 1 / (2 * WEEK)     # application failure
+    mu_APP: float = 1 / (30 * MINUTE)      # application hard repair
+    mu_APP_r: float = 1 / (15 * SECOND)    # application restart
+    lambda_SW: float = 1 / (1 * MONTH)     # software failure
+    mu_SW: float = 1 / (30 * MINUTE)       # software hard repair
+    mu_SW_r: float = 1 / (30 * SECOND)     # software restart
+    C_HW: float = 0.97                     # hardware failover coverage
+    C_OS: float = 0.9                      # OS reboot/failover coverage
+    C_HYP: float = 0.9                     # hypervisor restart coverage
+    C_SW: float = 0.85                     # software restart/failover coverage
+    C_VM: float = 0.9                      # VM reboot coverage
+    C_APP: float = 0.8                     # application restart coverage
+    M: int = 10                            # cluster instances
+    K: int = 9                             # working instances required
+    alpha_H: float = 1.0                   # hardware failure-intensity multiplier (cluster)
+    alpha_O: float = 1.0                   # OS multiplier
+    alpha_S: float = 1.0                   # software multiplier
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -124,41 +127,7 @@ class IntensityTable:
 
 
 def default_table() -> IntensityTable:
-    return IntensityTable(
-        lambda_RH=1 / (17 * YEAR),
-        mu_RH=1 / (6 * HOUR),
-        lambda_HW=1 / (6 * MONTH),
-        mu_cov=1 / (30 * MINUTE),
-        mu_HW=1 / (2 * HOUR),
-        mu_HW_fo=1 / (3 * MINUTE),
-        lambda_A=1 / (104 * MONTH),
-        mu_A=1 / (6 * HOUR),
-        lambda_FW=1 / (75 * DAY),
-        mu_FW=1 / (65 * MINUTE),
-        lambda_OS=1 / (2 * MONTH),
-        mu_OS=1 / (1 * HOUR),
-        mu_OS_r=1 / (1 * MINUTE),
-        mu_HYP_rs=1 / (2.5 * MINUTE),
-        lambda_HYP=1 / (4 * MONTH),
-        mu_HYP=1 / (1 * HOUR),
-        mu_HYP_r=1 / (1 * MINUTE),
-        mu_VM_rs=1 / (1.5 * MINUTE),
-        lambda_VM=1 / (3 * MONTH),
-        mu_VM=1 / (1 * HOUR),
-        mu_VM_r=1 / (1 * MINUTE),
-        lambda_APP=1 / (2 * WEEK),
-        mu_APP=1 / (30 * MINUTE),
-        mu_APP_r=1 / (15 * SECOND),
-        lambda_SW=1 / (1 * MONTH),
-        mu_SW=1 / (30 * MINUTE),
-        mu_SW_r=1 / (30 * SECOND),
-        C_HW=0.97,
-        C_OS=0.9,
-        C_HYP=0.9,
-        C_SW=0.85,
-        C_VM=0.9,
-        C_APP=0.8,
-    )
+    return IntensityTable()
 
 
 class ElementKind(enum.Enum):

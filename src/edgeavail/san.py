@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -31,6 +32,7 @@ from .errors import EvaluationError, NegativeTokens
 Marking = dict  # place name -> non-negative token count
 
 _OPS = ("+=", "-=", "=")
+COUNT_TOL = 1e-9   # how far an effect's result may sit from a whole count
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,16 @@ def validate(model: SanModel) -> list[str]:
 
     The one judge of a model, parsed, overridden or built in code.  Names are
     identifiers; parameter, place and activity names share one namespace,
-    unique and free of keywords, and reward names are unique.  Values,
-    counts and probabilities are checked as they fold; one that fails to
-    fold is reported once, and the values derived from it are not checked.
+    unique and free of keywords, and reward names are unique.  Rates,
+    predicates, effect values and rewards are expressions.  Values, counts,
+    probabilities and rates that read nothing are checked as they fold; one
+    that fails to fold is reported once, and the values derived from it are
+    not checked.  No description line has blanks around it, which the
+    document format would drop.
     """
-    diags = []
+    diags = [f"description line {n} has leading or trailing blanks: {line!r}"
+             for n, line in enumerate(model.description.split("\n"), 1)
+             if line != line.strip()]
     shared, rewards = {}, {}   # a name -> the kind that declared it first
     for kind, names, seen in (("parameter", model.parameters, shared),
                               ("place", [p.name for p in model.places], shared),
@@ -208,11 +215,17 @@ def validate(model: SanModel) -> list[str]:
             diags.append(f"place '{p.name}' has negative initial tokens ({n})")
 
     def check_expr(e, where):
+        """Report ``e``'s undeclared names, or that it is no expression;
+        True when it is an expression that reads no parameter and no place."""
+        if not isinstance(e, ex.Expr):
+            diags.append(f"{where}: not an expression: {e!r}")
+            return False
         params, places = ex.identifiers(e)
         for name in sorted(params - set(model.parameters)):
             diags.append(f"{where}: undeclared parameter '{name}'")
         for name in sorted(places - place_names):
             diags.append(f"{where}: undeclared place '#{name}'")
+        return not (params or places)
 
     def check_effects(effects, where):
         for eff in effects:
@@ -224,19 +237,25 @@ def validate(model: SanModel) -> list[str]:
 
     for a in model.activities:
         where = f"activity '{a.name}'"
-        if a.rate is not None:
-            check_expr(a.rate, f"{where} rate")
-            if isinstance(a.rate, ex.Num) and a.rate.value <= 0:
-                diags.append(f"{where}: non-positive rate {a.rate.value}")
+        if a.rate is not None and check_expr(a.rate, f"{where} rate"):
+            rate = folded(fold, a.rate, f"{where} rate", earlier)
+            if rate is not None and not rate > 0:
+                diags.append(f"{where}: non-positive rate {rate}")
         check_expr(a.input.predicate, f"{where} predicate")
         check_effects(a.input.effects, f"{where} input")
         if not a.cases:
             diags.append(f"{where}: no cases")
-        probs = [folded(fold, c.probability, f"{where} case {i}", earlier)
-                 for i, c in enumerate(a.cases)]
-        for i, (prob, c) in enumerate(zip(probs, a.cases)):
+        probs = []
+        for i, c in enumerate(a.cases):
+            if isinstance(c.probability, (numbers.Real, ex.Expr)):
+                prob = folded(fold, c.probability, f"{where} case {i}", earlier)
+            else:
+                diags.append(f"{where} case {i}: probability is not a number: "
+                             f"{c.probability!r}")
+                prob = None
             if prob is not None and not 0.0 <= prob <= 1.0:
                 diags.append(f"{where} case {i}: probability {prob} outside [0, 1]")
+            probs.append(prob)
             check_effects(c.effects, f"{where} case {i}")
         if a.cases and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             diags.append(f"{where}: case probabilities sum to {sum(probs)!r}")
@@ -249,6 +268,7 @@ def validate(model: SanModel) -> list[str]:
 
 # ── compiled form (shared by the explorer and the simulator) ─────────────────
 
+@dataclass(slots=True, eq=False)   # compared and hashed by identity
 class CompiledActivity:
     """An activity lowered onto marking vectors.
 
@@ -257,21 +277,16 @@ class CompiledActivity:
     Effects are ``(place, op, value_fn, columns)``, op 0/1/2 for ``+= -= =``.
     Case ``c`` is named ``CompiledModel.labels[label + c]``.
     """
-    __slots__ = ("name", "timed", "pred", "pred_cols", "rate", "rate_cols",
-                 "label", "input_effects", "case_probs", "case_effects")
-
-    def __init__(self, name, timed, pred, pred_cols, rate, rate_cols, label,
-                 input_effects, case_probs, case_effects):
-        self.name = name
-        self.timed = timed
-        self.pred = pred
-        self.pred_cols = pred_cols
-        self.rate = rate
-        self.rate_cols = rate_cols
-        self.label = label
-        self.input_effects = input_effects
-        self.case_probs = case_probs
-        self.case_effects = case_effects
+    name: str
+    timed: bool
+    pred: Callable
+    pred_cols: tuple
+    rate: Callable | None
+    rate_cols: tuple
+    label: int
+    input_effects: tuple
+    case_probs: tuple
+    case_effects: tuple
 
 
 class CompiledModel:
@@ -359,7 +374,7 @@ class CompiledModel:
                 else:
                     new = v
                 rounded = round(new) if math.isfinite(new) else new
-                if not abs(new - rounded) <= 1e-9:   # NaN for inf and NaN counts
+                if not abs(new - rounded) <= COUNT_TOL:   # NaN for inf and NaN counts
                     raise ValueError(
                         f"activity '{act.name}' drives place "
                         f"'{self.place_order[place_i]}' to non-integer count {new!r}")

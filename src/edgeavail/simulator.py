@@ -49,6 +49,8 @@ from .statespace import DEFAULT_MAX_STATES
 
 LIVELOCK_LIMIT = 1_000_000
 DEFAULT_BATCHES = 20
+DEFAULT_SEED = 12345
+WARMUP_SHARE = 0.01   # of the horizon, when no warmup is given
 MAX_BATCHES = 100_000
 
 
@@ -70,7 +72,7 @@ def _check_common(model, reward, horizon, warmup, seed):
     if not math.isfinite(horizon):
         raise ValueError(f"need a finite horizon, got {horizon}")
     if warmup is None:
-        warmup = 0.01 * horizon
+        warmup = WARMUP_SHARE * horizon
     if not horizon > warmup >= 0:
         raise ValueError(f"need horizon > warmup >= 0, got {horizon} and {warmup}")
     return cm, warmup
@@ -209,7 +211,7 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
 
 
 def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None = None,
-             batches: int = DEFAULT_BATCHES, seed: int = 12345) -> SimEstimate:
+             batches: int = DEFAULT_BATCHES, seed: int = DEFAULT_SEED) -> SimEstimate:
     """Batch-means estimate of the steady-state reward from one long trajectory.
 
     ``batches`` must be in ``[2, MAX_BATCHES]``: each batch holds one float
@@ -226,7 +228,7 @@ def simulate(model: SanModel, reward: str, horizon: float, warmup: float | None 
 
 def simulate_replicated(model: SanModel, reward: str, horizon: float,
                         warmup: float | None = None, replications: int = 10,
-                        seed: int = 12345) -> SimEstimate:
+                        seed: int = DEFAULT_SEED) -> SimEstimate:
     """Independent replications with seeds spawned from the master seed.
 
     ``replications`` must be in ``[2, MAX_BATCHES]``, checked before any seed

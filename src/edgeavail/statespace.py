@@ -59,7 +59,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (EvaluationError, NonFiniteExitRate, NotIrreducible,
                      StateSpaceExceeded, UnknownReward, VanishingLoop)
-from .san import SanModel, compiled
+from .san import COUNT_TOL, SanModel, compiled
 
 DEFAULT_MAX_STATES = 100_000
 _LOOP_TOL = 1e-12
@@ -194,7 +194,7 @@ def _apply(effects: tuple, M: np.ndarray) -> np.ndarray:
         v = _values(fn, cols, M)
         new = v if op == 2 else M[:, place] + v if op == 0 else M[:, place] - v
         rounded = np.rint(new)
-        if not (np.all(np.abs(new - rounded) <= 1e-9)
+        if not (np.all(np.abs(new - rounded) <= COUNT_TOL)
                 and np.all((rounded >= 0) & (rounded < _EXACT_COUNT))):
             raise _Replay
         M[:, place] = rounded

@@ -377,8 +377,7 @@ def test_non_ascii_name_exits_1(capsys, tmp_path, name, text, where):
 
 def test_paper_table3_csv(capsys, tmp_path):
     out_csv = tmp_path / "t3.csv"
-    code, out, _ = run(capsys, "paper", "table3", "--out", str(out_csv),
-                       "--jobs", "1")
+    code, out, _ = run(capsys, "paper", "table3", "--out", str(out_csv))
     assert code == 0
     assert kv(out)["rows"] == "36"
     rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
@@ -388,8 +387,7 @@ def test_paper_table3_csv(capsys, tmp_path):
 
 def test_paper_fig6_rows(capsys, tmp_path):
     out_csv = tmp_path / "f6.csv"
-    code, out, _ = run(capsys, "paper", "fig6", "--out", str(out_csv),
-                       "--jobs", "1")
+    code, out, _ = run(capsys, "paper", "fig6", "--out", str(out_csv))
     assert code == 0
     text = out_csv.read_text()
     for mk in ("(10,10)", "(10,9)", "(10,8)"):
@@ -397,7 +395,7 @@ def test_paper_fig6_rows(capsys, tmp_path):
 
 
 def test_paper_csv_to_stdout(capsys):
-    code, out, _ = run(capsys, "paper", "fig7", "--out", "-", "--jobs", "1")
+    code, out, _ = run(capsys, "paper", "fig7", "--out", "-")
     assert code == 0
     assert out.splitlines()[0].startswith("config,")
     assert len(out.strip().splitlines()) == 9
@@ -429,23 +427,21 @@ def test_paper_rejects_fractional_cluster_size_exits_64(capsys):
 
 
 def test_paper_accepts_whole_cluster_size_as_float(capsys):
-    code, out, _ = run(capsys, "paper", "fig7", "--set", "K=9.0", "--out", "-",
-                       "--jobs", "1")
+    code, out, _ = run(capsys, "paper", "fig7", "--set", "K=9.0", "--out", "-")
     assert code == 0
-    _, default, _ = run(capsys, "paper", "fig7", "--out", "-", "--jobs", "1")
+    _, default, _ = run(capsys, "paper", "fig7", "--out", "-")
     assert out == default
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_paper_rejects_non_positive_jobs_exits_64(capsys, jobs):
-    code, _, err = run(capsys, "paper", "fig7", "--out", "-", "--jobs", jobs)
-    assert code == 64
-    assert "--jobs must be >= 1" in err
+def test_paper_has_no_jobs_option(capsys):
+    code, out, err = run(capsys, "paper", "fig7", "--out", "-", "--jobs", "1")
+    assert code == 64 and not out
+    assert "unrecognized arguments: --jobs 1" in err
 
 
 def test_paper_json_summary(capsys, tmp_path):
     code, out, _ = run(capsys, "paper", "fig7", "--out",
-                       str(tmp_path / "f7.csv"), "--jobs", "1", "--json")
+                       str(tmp_path / "f7.csv"), "--json")
     assert code == 0
     report = json.loads(out)
     assert report["rows"] == 8 and report["study"] == "fig7"

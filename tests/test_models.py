@@ -1,14 +1,20 @@
 """Built-in element models: defaults, topologies, limiting behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from edgeavail import models as md
 from edgeavail import statespace
+from edgeavail.document import parse_model
 from edgeavail.errors import EvaluationError
+from edgeavail.experiments import table_hash
 from edgeavail.models import ElementKind, element_unavailability
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
+
+from conftest import MODELS
 
 
 def _solve(model):
@@ -29,6 +35,23 @@ def test_default_catalog_conversions(table):
     assert table.mu_cov == pytest.approx(2.0, abs=0)
     assert (table.M, table.K) == (10, 9)
     assert table.C_HW == 0.97 and table.C_APP == 0.8
+
+
+def test_default_table_is_the_pinned_catalog():
+    assert md.default_table() == md.IntensityTable()
+    assert table_hash(md.IntensityTable()) == "ac5e64ed856c"
+
+
+@pytest.mark.parametrize("name", ["ru", "du", "cu", "meh", "cluster"])
+def test_documents_declare_the_catalog_defaults(name):
+    doc = parse_model((MODELS / f"{name}.san").read_text(encoding="utf-8"))
+    catalog = md.IntensityTable()
+    declared = [f.name for f in dataclasses.fields(catalog) if f.name in doc.parameters]
+    assert declared
+    for field in declared:
+        literal = doc.parameters[field]
+        assert isinstance(literal, float), field   # a literal, not derived
+        assert literal == getattr(catalog, field), field   # so M and K are whole
 
 
 def test_catalog_validation():

@@ -1,9 +1,13 @@
 """Model validation and token-game semantics."""
 
+import dataclasses
+
 import pytest
 
+from edgeavail import expr as ex
 from edgeavail import models as md
-from edgeavail.errors import NegativeTokens
+from edgeavail.document import parse_model, serialize_model
+from edgeavail.errors import NegativeTokens, SemanticError
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
                            RewardPredicate, SanModel, compiled, put, take,
@@ -110,6 +114,71 @@ def test_validate_folds_declared_expressions_once():
     assert ok.initial_marking() == {"A": 3, "B": 0}
     assert type(ok.initial_marking()["A"]) is int
     assert compiled(ok).activities[0].case_probs == (0.75, 0.25)
+
+
+def _with_fail(model, **changes):
+    """``model`` with its first activity ("fail") changed."""
+    fail = dataclasses.replace(model.activities[0], **changes)
+    return dataclasses.replace(model, activities=(fail, *model.activities[1:]))
+
+
+@pytest.mark.parametrize("rate", [ex.Neg(ex.Num(2.0)), P("2 * -1"), P("0 - 2"),
+                                  P("if 1 then -2 else 3")])
+def test_validate_folds_a_rate_that_reads_nothing(rate):
+    m = _with_fail(two_state_model(), rate=rate)
+    message = "activity 'fail': non-positive rate -2.0"
+    assert validate(m) == [message]
+    with pytest.raises(SemanticError) as err:
+        parse_model(serialize_model(m))
+    assert str(err.value) == f"invalid model: {message}"
+
+
+def test_validate_reports_a_constant_rate_that_fails_to_fold():
+    assert validate(_with_fail(two_state_model(), rate=P("1 / 0"))) == [
+        "activity 'fail' rate: division by zero in 1 / 0"]
+    assert validate(_with_fail(two_state_model(), rate=P("2 * 3"))) == []
+
+
+def _slot(slot, value):
+    m = two_state_model()
+    fail = m.activities[0]
+    case = fail.cases[0]
+    if slot == "rate":
+        return _with_fail(m, rate=value)
+    if slot == "predicate":
+        return _with_fail(m, input=InputSpec(value, fail.input.effects))
+    if slot == "input effect":
+        effect = dataclasses.replace(fail.input.effects[0], value=value)
+        return _with_fail(m, input=InputSpec(fail.input.predicate, (effect,)))
+    if slot == "case effect":
+        effect = dataclasses.replace(case.effects[0], value=value)
+        return _with_fail(m, cases=(CaseSpec(case.probability, (effect,)),))
+    if slot == "probability":
+        return _with_fail(m, cases=(CaseSpec(value, case.effects),))
+    return dataclasses.replace(m, rewards=(RewardPredicate("up", value),))
+
+
+@pytest.mark.parametrize("slot, value, message", [
+    ("rate", 2.0, "activity 'fail' rate: not an expression: 2.0"),
+    ("predicate", 1, "activity 'fail' predicate: not an expression: 1"),
+    ("input effect", 1.0, "activity 'fail' input: not an expression: 1.0"),
+    ("case effect", "1", "activity 'fail' case 0: not an expression: '1'"),
+    ("reward", True, "reward 'up': not an expression: True"),
+    ("probability", "abc", "activity 'fail' case 0: probability is not a number: 'abc'"),
+    ("probability", None, "activity 'fail' case 0: probability is not a number: None"),
+])
+def test_validate_reports_a_wrong_typed_value(slot, value, message):
+    assert validate(_slot(slot, value)) == [message]
+
+
+@pytest.mark.parametrize("line", ["  indented", "trailing ", "crlf\r", "\ttab"])
+def test_validate_rejects_blanks_around_a_description_line(line):
+    m = dataclasses.replace(two_state_model(), description=f"first\n{line}")
+    assert validate(m) == [
+        f"description line 2 has leading or trailing blanks: {line!r}"]
+    ok = dataclasses.replace(two_state_model(), description="first\n\nin  between")
+    assert validate(ok) == []
+    assert parse_model(serialize_model(ok)) == ok
 
 
 def test_builtin_models_validate_clean(table):
