@@ -31,7 +31,7 @@ from . import expr as ex
 from . import models as md
 from .document import parse_model
 from .errors import ComputationError, EdgeavailError
-from .faulttree import RedundancyConfig, eval_ft, parse_ft, u_ran, u_sys
+from .faulttree import RedundancyConfig, eval_ft, parse_ft, system_unavailability, u_ran
 from .san import validate
 from .simulator import (DEFAULT_BATCHES, DEFAULT_SEED, MAX_BATCHES, WARMUP_SHARE,
                         simulate)
@@ -82,8 +82,8 @@ def _build_parser() -> _Parser:
     ft.add_argument("path", nargs="?")
     ft.add_argument("--paper", action="store_true",
                     help="use the built-in system tree instead of a file")
-    for name in ("ru", "du", "cu", "meh", "5gc", "mano"):
-        ft.add_argument(f"--u-{name}", type=float, dest=f"u_{name}")
+    for kind in md.ElementKind:
+        ft.add_argument(f"--u-{kind.value}", type=float, dest=f"u_{kind.value}")
     ft.add_argument("--nc", type=int, default=1)
     ft.add_argument("--nd", type=int, default=1)
     ft.add_argument("--nr", type=int, default=1)
@@ -214,22 +214,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ft(args) -> int:
     if args.paper:
-        us = {}
-        for name in ("ru", "du", "cu", "meh", "5gc", "mano"):
-            value = getattr(args, f"u_{name}")
+        us = {kind.value: getattr(args, f"u_{kind.value}") for kind in md.ElementKind}
+        for name, value in us.items():
             if value is None:
                 raise UsageError(f"--paper requires --u-{name}")
             if not 0.0 <= value <= 1.0:
                 raise UsageError(f"--u-{name} must be in [0, 1]")
-            us[name] = value
         try:
             cfg = RedundancyConfig(args.nc, args.nd, args.nr, args.nh)
         except ValueError as err:
             raise UsageError(str(err)) from None
-        ran = u_ran(us["ru"], us["du"], us["cu"], cfg)
-        _emit({"u_ran": ran,
-               "u_sys": u_sys(ran, us["5gc"], us["mano"], us["meh"], cfg.N_H)},
-              args.json)
+        _emit({"u_ran": u_ran(us["ru"], us["du"], us["cu"], cfg),
+               "u_sys": system_unavailability(us, cfg)}, args.json)
         return EXIT_OK
     if not args.path:
         raise UsageError("give a fault-tree file or --paper")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from . import expr as ex
 from .errors import ParseError, SemanticError
-from .san import (Activity, CaseSpec, Effect, InputSpec, Place,
+from .san import (EFFECT_OPS, Activity, CaseSpec, Effect, InputSpec, Place,
                   RewardPredicate, SanModel, validate)
 
 HEADER = "san-format 1"
@@ -94,8 +94,8 @@ def parse_model(text: str) -> SanModel:
         while not cur.at("}"):
             name = cur.expect("IDENT", expected={"a place name", "'}'"})
             op_tok = cur.peek()
-            if op_tok.kind not in ("+=", "-=", "="):
-                raise cur.fail({"'+='", "'-='", "'='"})
+            if op_tok.kind not in EFFECT_OPS:
+                raise cur.fail({f"'{op}'" for op in EFFECT_OPS})
             cur.next()
             effects.append(Effect(name.text, op_tok.kind, ex.parse_expr(cur)))
             if cur.at(";"):

@@ -2,15 +2,16 @@
 
 Each runner returns a :class:`SweepResult` whose rows pair a configuration
 with the system unavailability obtained from the exact (GTH) pipeline.
-Element unavailabilities are solved once per distinct parameter set and
-cached, so the fault-tree algebra dominates nothing; results are bit-for-bit
-reproducible.  The core-network and manager clusters share one model, so
-each distinct cluster table is solved once, whichever cluster uses it.  A
-study's cluster tables go to ``models.element_unavailabilities`` as one
-batch, which explores each model structure once: the studies vary K and the
-multipliers at M = 10, so their cluster tables share one marking graph, each
-only recomputes its weights, and their GTH solves share one stage plan and
-stacked dense kernel.  Rows are ordered by configuration.
+Element unavailabilities are solved once per element document and the
+catalog entries it binds, and cached, so the fault-tree algebra dominates
+nothing; results are bit-for-bit reproducible.  The core-network and manager
+clusters share one document, so each distinct cluster table is solved once,
+whichever cluster uses it.  A study's cluster tables go to
+``models.element_unavailabilities`` as one batch, which explores each model
+structure once: the studies vary K and the multipliers at M = 10, so their
+cluster tables share one marking graph, each only recomputes its weights,
+and their GTH solves share one stage plan and stacked dense kernel.  Rows
+are ordered by configuration.
 
 CSV schema (at least six significant digits)::
 
@@ -23,15 +24,12 @@ import csv
 import datetime
 import hashlib
 import io
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 from .faulttree import RedundancyConfig, u_ran, u_sys
 from .models import (ElementKind, IntensityTable, element_unavailabilities,
                      element_unavailability)
-
-CSV_HEADER = ("config,N_C,N_D,N_R,N_H,M_5gc,K_5gc,M_mano,K_mano,"
-              "alpha_H,alpha_O,alpha_S,unavailability")
 
 # Reference redundancy grid: each block varies one knob over 1..3 while the
 # others stay at 1 (alongside the no-redundancy row) or at 2..3 with it.
@@ -74,6 +72,9 @@ class SweepRow:
     unavailability: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
 @dataclass
 class SweepResult:
     rows: list
@@ -86,10 +87,8 @@ class SweepResult:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_HEADER.split(","))
         for r in self.rows:
-            w.writerow([r.config, r.N_C, r.N_D, r.N_R, r.N_H,
-                        r.M_5gc, r.K_5gc, r.M_mano, r.K_mano,
-                        _num(r.alpha_H), _num(r.alpha_O), _num(r.alpha_S),
-                        f"{r.unavailability:.8e}"])
+            *head, alpha_H, alpha_O, alpha_S, u = astuple(r)
+            w.writerow([*head, *map(_num, (alpha_H, alpha_O, alpha_S)), f"{u:.8e}"])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -129,12 +128,8 @@ def _evaluate(configs, t: IntensityTable) -> list:
     # both cluster kinds build the same model, so one kind stands for both
     solved = dict(zip(distinct, element_unavailabilities(ElementKind.CLUSTER_5GC, distinct)))
 
-    base = {
-        "ru": element_unavailability(ElementKind.RU, t),
-        "du": element_unavailability(ElementKind.DU, t),
-        "cu": element_unavailability(ElementKind.CU, t),
-        "meh": element_unavailability(ElementKind.MEH, t),
-    }
+    base = {k.value: element_unavailability(k, t)
+            for k in (ElementKind.RU, ElementKind.DU, ElementKind.CU, ElementKind.MEH)}
     rows = []
     for c in configs:
         ran = u_ran(base["ru"], base["du"], base["cu"], c.cfg)
@@ -170,15 +165,12 @@ def run_cluster_sweep(t: IntensityTable, mk_pairs=None, jobs=None) -> SweepResul
     mk_pairs = list(mk_pairs or DEFAULT_MK_SWEEP)
     cfg = RedundancyConfig(2, 2, 2, 2)
     configs = []
-    for m, k in mk_pairs:
-        tk = t.with_overrides(M=m, K=k)
-        configs.append(_SystemConfig(f"both:(M,K)=({m},{k})", cfg, tk, tk))
-    for m, k in mk_pairs:
-        tk = t.with_overrides(M=m, K=k)
-        configs.append(_SystemConfig(f"5gc:(M,K)=({m},{k})", cfg, tk, t))
-    for m, k in mk_pairs:
-        tk = t.with_overrides(M=m, K=k)
-        configs.append(_SystemConfig(f"mano:(M,K)=({m},{k})", cfg, t, tk))
+    for targets in ("both", "5gc", "mano"):
+        for m, k in mk_pairs:
+            tk = t.with_overrides(M=m, K=k)
+            configs.append(_SystemConfig(f"{targets}:(M,K)=({m},{k})", cfg,
+                                         tk if targets in ("both", "5gc") else t,
+                                         tk if targets in ("both", "mano") else t))
     return _result(_evaluate(configs, t), t)
 
 
@@ -253,42 +245,43 @@ STUDIES = {
 
 # ── optional single-file SVG chart of a sweep ────────────────────────────────
 
-def svg_line_chart(series: dict, path=None, title: str = "",
-                   log_y: bool = True, width: int = 640, height: int = 400) -> str:
-    """Render named (x, y) series as a minimal standalone SVG line chart."""
+_WIDTH, _HEIGHT, _PAD = 640, 400, 60
+
+
+def svg_line_chart(series: dict, path=None, title: str = "") -> str:
+    """Render named (x, y) series as a minimal standalone 640x400 SVG line
+    chart, ``y`` on a log scale."""
     import math
 
-    pad = 60
     pts = [(x, y) for pairs in series.values() for x, y in pairs]
     if not pts:
         raise ValueError("no data to chart")
-    fy = (lambda v: math.log10(v)) if log_y else (lambda v: v)
     xs = [p[0] for p in pts]
-    ys = [fy(p[1]) for p in pts]
+    ys = [math.log10(p[1]) for p in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
 
     def sx(x):
-        return pad + (x - x0) / xspan * (width - 2 * pad)
+        return _PAD + (x - x0) / xspan * (_WIDTH - 2 * _PAD)
 
     def sy(y):
-        return height - pad - (fy(y) - y0) / yspan * (height - 2 * pad)
+        return _HEIGHT - _PAD - (math.log10(y) - y0) / yspan * (_HEIGHT - 2 * _PAD)
 
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width/2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+             f'<text x="{_WIDTH/2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
     for i, (name, pairs) in enumerate(series.items()):
         color = colors[i % len(colors)]
         path_d = " ".join(f"{'M' if j == 0 else 'L'}{sx(x):.1f},{sy(y):.1f}"
                           for j, (x, y) in enumerate(sorted(pairs)))
         parts.append(f'<path d="{path_d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - pad + 4}" y="{30 + 16 * i}" font-size="11" '
+        parts.append(f'<text x="{_WIDTH - _PAD + 4}" y="{30 + 16 * i}" font-size="11" '
                      f'fill="{color}">{name}</text>')
-    parts.append(f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" stroke="black"/>')
-    parts.append(f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>')
+    parts.append(f'<line x1="{_PAD}" y1="{_HEIGHT-_PAD}" x2="{_WIDTH-_PAD}" y2="{_HEIGHT-_PAD}" stroke="black"/>')
+    parts.append(f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_HEIGHT-_PAD}" stroke="black"/>')
     parts.append("</svg>")
     svg = "\n".join(parts)
     if path:

@@ -19,8 +19,8 @@ catalog entries it reads, with :class:`IntensityTable`'s field defaults as
 literals, and derives everything else from them (``lambda_Hi = alpha_H *
 lambda_HW * M / K``, ``place Working = M``, ``case 1 - C_HW``).
 :func:`build_element` binds a table's entries in place of the literals; the
-derived values follow.  The topology choices the documents make are listed
-in the README.
+derived values follow, and the element cache keys on the document and those
+entries' values.  The documents' topology choices are listed in the README.
 
 All rates are per hour.  The field defaults are the catalog, written as mean
 times that convert with 1 minute = 1/60 h, 1 day = 24 h, 1 week = 168 h,
@@ -196,7 +196,7 @@ def structure_key(model: SanModel) -> tuple:
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-_SOLVED = {}     # (kind, table) -> unavailability; both cluster kinds as 5GC
+_SOLVED = {}     # (document, values of the table fields it declares) -> unavailability
 _COUNTS = Counter()    # hits, misses
 
 
@@ -211,7 +211,8 @@ def _chains(models):
 
 def element_unavailabilities(kind: ElementKind, tables) -> list:
     """Build, explore, eliminate vanishing, solve and extract each of
-    ``tables``, cached on ``(kind, table)``; both cluster kinds share entries.
+    ``tables``, cached on the document ``kind`` builds and the values of the
+    table fields it declares, so both cluster kinds share entries.
 
     Tables not cached are grouped by :func:`structure_key` (for the cluster:
     M and which coverage factors are 0 or 1, not K, multipliers or rates),
@@ -219,20 +220,19 @@ def element_unavailabilities(kind: ElementKind, tables) -> list:
     Results are bit for bit those of each table alone; an error is raised
     once the tables before it in its group are cached.
     """
-    if kind is ElementKind.CLUSTER_MANO:
-        kind = ElementKind.CLUSTER_5GC
-    tables = list(tables)
-    groups = {}   # structure key -> {table: its model, built once}
-    for t in dict.fromkeys(tables):
-        if (kind, t) not in _SOLVED:
+    name = _DOCUMENTS[kind]   # keyed with the values of the fields build_element binds
+    keyed = [((name, tuple(getattr(t, n) for n in _document(name)[1])), t) for t in tables]
+    groups = {}   # structure key -> {cache key: its model, built once}
+    for key, t in dict(keyed).items():
+        if key not in _SOLVED:
             model = build_element(kind, t)
-            groups.setdefault(structure_key(model), {})[t] = model
+            groups.setdefault(structure_key(model), {})[key] = model
     misses = sum(map(len, groups.values()))
-    _COUNTS.update(hits=len(tables) - misses, misses=misses)
+    _COUNTS.update(hits=len(keyed) - misses, misses=misses)
     for group in groups.values():
-        for t, (chain, state) in zip(group, steady_state_gth_many(_chains(group.values()))):
-            _SOLVED[kind, t] = unavailability(chain, state)
-    return [_SOLVED[kind, t] for t in tables]
+        for key, (chain, state) in zip(group, steady_state_gth_many(_chains(group.values()))):
+            _SOLVED[key] = unavailability(chain, state)
+    return [_SOLVED[key] for key, _ in keyed]
 
 
 def element_unavailability(kind: ElementKind, t: IntensityTable) -> float:
@@ -253,5 +253,4 @@ element_unavailability.cache_info = lambda: CacheInfo(
 def builtin_models(t: IntensityTable | None = None) -> dict:
     """Name -> model for all five built-in element models."""
     t = t or default_table()
-    return {name: build_element(kind, t) for kind, name in _DOCUMENTS.items()
-            if kind is not ElementKind.CLUSTER_MANO}
+    return {name: build_element(kind, t) for kind, name in _DOCUMENTS.items()}

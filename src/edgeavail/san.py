@@ -31,7 +31,7 @@ from .errors import EvaluationError, NegativeTokens
 
 Marking = dict  # place name -> non-negative token count
 
-_OPS = ("+=", "-=", "=")
+EFFECT_OPS = ("+=", "-=", "=")   # an effect's operators, in the order they compile to
 COUNT_TOL = 1e-9   # how far an effect's result may sit from a whole count
 
 
@@ -146,23 +146,29 @@ def validate(model: SanModel) -> list[str]:
 
     The one judge of a model, parsed, overridden or built in code.  Names are
     identifiers; parameter, place and activity names share one namespace,
-    unique and free of keywords, and reward names are unique.  Rates,
+    unique and free of keywords, and reward names are unique.  The
+    description is a string and an activity's cases a tuple.  Rates,
     predicates, effect values and rewards are expressions.  Values, counts,
     probabilities and rates that read nothing are checked as they fold; one
     that fails to fold is reported once, and the values derived from it are
     not checked.  No description line has blanks around it, which the
     document format would drop.
     """
-    diags = [f"description line {n} has leading or trailing blanks: {line!r}"
-             for n, line in enumerate(model.description.split("\n"), 1)
-             if line != line.strip()]
+    if not isinstance(model.description, str):
+        diags = [f"description is not a string: {model.description!r}"]
+    else:
+        diags = [f"description line {n} has leading or trailing blanks: {line!r}"
+                 for n, line in enumerate(model.description.split("\n"), 1)
+                 if line != line.strip()]
     shared, rewards = {}, {}   # a name -> the kind that declared it first
     for kind, names, seen in (("parameter", model.parameters, shared),
                               ("place", [p.name for p in model.places], shared),
                               ("activity", [a.name for a in model.activities], shared),
                               ("reward", [r.name for r in model.rewards], rewards)):
         for name in names:
-            if not _IDENTIFIER.fullmatch(name):
+            if not isinstance(name, str):
+                diags.append(f"{kind} name {name!r} is not a string")
+            elif not _IDENTIFIER.fullmatch(name):
                 diags.append(f"{kind} name '{name}' is not an identifier")
             elif name in ex.KEYWORDS and kind != "reward":
                 diags.append(f"{kind} name '{name}' is a reserved word")
@@ -173,7 +179,7 @@ def validate(model: SanModel) -> list[str]:
             else:
                 an = "an" if kind == "activity" else "a"
                 diags.append(f"name '{name}' declared as both a {seen[name]} and {an} {kind}")
-    place_names = {p.name for p in model.places}
+    place_names = {p.name for p in model.places if isinstance(p.name, str)}
     params = {}   # the values folded so far
 
     def folded(fn, value, where, readable):
@@ -229,9 +235,11 @@ def validate(model: SanModel) -> list[str]:
 
     def check_effects(effects, where):
         for eff in effects:
-            if eff.place not in place_names:
+            if not isinstance(eff.place, str):
+                diags.append(f"{where}: effect place is not a string: {eff.place!r}")
+            elif eff.place not in place_names:
                 diags.append(f"{where}: effect targets undeclared place '{eff.place}'")
-            if eff.op not in _OPS:
+            if eff.op not in EFFECT_OPS:
                 diags.append(f"{where}: bad effect operator '{eff.op}'")
             check_expr(eff.value, where)
 
@@ -243,6 +251,9 @@ def validate(model: SanModel) -> list[str]:
                 diags.append(f"{where}: non-positive rate {rate}")
         check_expr(a.input.predicate, f"{where} predicate")
         check_effects(a.input.effects, f"{where} input")
+        if not isinstance(a.cases, tuple):
+            diags.append(f"{where}: cases are not a tuple: {a.cases!r}")
+            continue
         if not a.cases:
             diags.append(f"{where}: no cases")
         probs = []
@@ -311,7 +322,7 @@ class CompiledModel:
             return fn, tuple(sorted(self.index[p] for p in ex.identifiers(e)[1]))
 
         def compile_effects(effects):
-            return tuple((self.index[eff.place], _OPS.index(eff.op), *lower(eff.value))
+            return tuple((self.index[eff.place], EFFECT_OPS.index(eff.op), *lower(eff.value))
                          for eff in effects)
 
         self.activities, labels = [], []

@@ -144,8 +144,17 @@ def test_svg_chart(tmp_path):
     path = tmp_path / "chart.svg"
     text = xp.svg_line_chart(series, path, title="demo")
     assert path.read_text() == text
-    assert text.startswith("<svg") and text.endswith("</svg>")
-    assert text.count("<path") == 2
+    assert text == "\n".join([
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400">',
+        '<rect width="640" height="400" fill="white"/>',
+        '<text x="320.0" y="20" text-anchor="middle" font-size="14">demo</text>',
+        '<path d="M60.0,340.0 L580.0,163.3" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<text x="584" y="30" font-size="11" fill="#1f77b4">a</text>',
+        '<path d="M60.0,60.0 L580.0,340.0" fill="none" stroke="#d62728" stroke-width="1.5"/>',
+        '<text x="584" y="46" font-size="11" fill="#d62728">b</text>',
+        '<line x1="60" y1="340" x2="580" y2="340" stroke="black"/>',
+        '<line x1="60" y1="60" x2="60" y2="340" stroke="black"/>',
+        '</svg>'])
 
 
 # sha256 of the five study CSVs on the shipped catalog, as recorded in CHANGES.md.
@@ -158,10 +167,23 @@ STUDY_SHA256 = {
 }
 
 
+# Element cache traffic of each study from an empty cache: the four base
+# elements at the table, plus one miss per distinct cluster table.
+STUDY_CACHE_INFO = {
+    "table3": (0, 5, None, 5),
+    "fig6": (0, 9, None, 9),
+    "fig7": (0, 6, None, 6),
+    "fig8": (0, 17, None, 17),
+    "fig9": (0, 17, None, 17),
+}
+
+
 @pytest.mark.parametrize("study", sorted(STUDY_SHA256))
 def test_study_csvs_are_byte_identical(table, study):
+    element_unavailability.cache_clear()
     csv_text = xp.STUDIES[study](table, jobs=1).to_csv()
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == STUDY_SHA256[study]
+    assert element_unavailability.cache_info() == STUDY_CACHE_INFO[study]
 
 
 def test_studies_list_every_bundled_study():

@@ -169,6 +169,15 @@ def test_both_cluster_kinds_share_one_cache_entry(table):
     assert element_unavailability.cache_info().misses == 5
 
 
+def test_a_table_change_is_solved_only_by_the_documents_that_bind_it(table):
+    element_unavailability.cache_clear()
+    for t in (table, table.with_overrides(alpha_H=10.0, K=8)):
+        for kind in ElementKind:
+            element_unavailability(kind, t)
+    # only the cluster document binds alpha_H and K; the other four hit
+    assert element_unavailability.cache_info() == (6, 6, None, 6)
+
+
 def test_builders_parse_each_text_once(table):
     a = md.build_cluster(table)
     b = md.build_cluster(table.with_overrides(M=12, K=11))

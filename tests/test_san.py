@@ -171,6 +171,38 @@ def test_validate_reports_a_wrong_typed_value(slot, value, message):
     assert validate(_slot(slot, value)) == [message]
 
 
+@pytest.mark.parametrize("kind", ["parameter", "place", "activity", "reward"])
+def test_validate_reports_a_name_that_is_not_a_string(kind):
+    m = two_state_model()
+    if kind == "parameter":
+        m = dataclasses.replace(m, parameters={**m.parameters, 1: 0.5})
+    elif kind == "place":
+        m = dataclasses.replace(m, places=(*m.places, Place(1, 1)))
+    elif kind == "activity":
+        m = _with_fail(m, name=1)
+    else:
+        m = dataclasses.replace(m, rewards=(*m.rewards, RewardPredicate(1, P("#Up >= 1"))))
+    assert validate(m) == [f"{kind} name 1 is not a string"]
+
+
+def test_validate_reports_a_description_that_is_not_a_string():
+    m = dataclasses.replace(two_state_model(), description=None)
+    assert validate(m) == ["description is not a string: None"]
+
+
+def test_validate_reports_cases_that_are_not_a_tuple():
+    assert validate(_with_fail(two_state_model(), cases=None)) == [
+        "activity 'fail': cases are not a tuple: None"]
+
+
+def test_validate_reports_an_effect_place_that_is_not_a_string():
+    m = two_state_model()
+    fail = m.activities[0]
+    effect = dataclasses.replace(fail.input.effects[0], place=3)
+    m = _with_fail(m, input=InputSpec(fail.input.predicate, (effect,)))
+    assert validate(m) == ["activity 'fail' input: effect place is not a string: 3"]
+
+
 @pytest.mark.parametrize("line", ["  indented", "trailing ", "crlf\r", "\ttab"])
 def test_validate_rejects_blanks_around_a_description_line(line):
     m = dataclasses.replace(two_state_model(), description=f"first\n{line}")
