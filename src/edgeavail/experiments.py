@@ -8,10 +8,10 @@ nothing; results are bit-for-bit reproducible.  The core-network and manager
 clusters share one document, so each distinct cluster table is solved once,
 whichever cluster uses it.  A study's cluster tables go to
 ``models.element_unavailabilities`` as one batch, which explores each model
-structure once: the studies vary K and the multipliers at M = 10, so their
-cluster tables share one marking graph, each only recomputes its weights,
-and their GTH solves share one stage plan and stacked dense kernel.  Rows
-are ordered by configuration.
+structure (``CompiledModel.structure``) once: the studies vary K and the
+multipliers at M = 10, so their cluster tables share one marking graph,
+each only recomputes its weights, and their GTH solves share one stage plan
+and stacked dense kernel.  Rows are ordered by configuration.
 
 CSV schema (at least six significant digits)::
 

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib.resources import files
 
+from . import san
 from .document import parse_model
-from .expr import identifiers
-from .san import SanModel, fold
 # steady_state_gth stays bound for perfbench/tracing.py, which patches it here
 from .solver import steady_state_gth, steady_state_gth_many, unavailability  # noqa: F401
 from .statespace import eliminate_vanishing, explore, revalue, to_ctmc
@@ -147,14 +146,14 @@ _FIELDS = frozenset(f.name for f in dataclasses.fields(IntensityTable))
 
 
 @lru_cache(maxsize=None)
-def _document(name: str) -> tuple[SanModel, tuple]:
+def _document(name: str) -> tuple[san.SanModel, tuple]:
     """The shipped document ``name`` and the table fields it declares."""
     text = files(__package__).joinpath("elements", f"{name}.san").read_text(encoding="utf-8")
     doc = parse_model(text)
     return doc, tuple(n for n in doc.parameters if n in _FIELDS)
 
 
-def build_element(kind: ElementKind, t: IntensityTable) -> SanModel:
+def build_element(kind: ElementKind, t: IntensityTable) -> san.SanModel:
     """``kind``'s document with each table field it declares bound from ``t``."""
     doc, fields = _document(_DOCUMENTS[kind])
     return dataclasses.replace(
@@ -166,33 +165,6 @@ build_du = partial(build_element, ElementKind.DU)
 build_cu = partial(build_element, ElementKind.CU)
 build_meh = partial(build_element, ElementKind.MEH)
 build_cluster = partial(build_element, ElementKind.CLUSTER_5GC)
-
-
-def structure_key(model: SanModel) -> tuple:
-    """What ``model``'s marking graph depends on, as a hashable value.
-
-    The places with their initial marking; each activity's name, whether it
-    is timed, its input gate, and per case whether its probability is
-    nonzero, with its effects; and the values of the parameters that
-    predicates and effects read.  Counts, probabilities and values are
-    folded from the parameters.  Rate expressions and the size of a nonzero
-    probability are left out: models that differ only there reach the same
-    markings in the same order, and ``statespace.revalue`` carries one's
-    graph over to the other.
-    """
-    params = model.parameter_values()
-    read = set()
-    activities = []
-    for a in model.activities:
-        read |= identifiers(a.input.predicate)[0]
-        for effect in a.input.effects + tuple(e for c in a.cases for e in c.effects):
-            read |= identifiers(effect.value)[0]
-        activities.append((a.name, a.timed, a.input,
-                           tuple((fold(c.probability, params) != 0.0, c.effects)
-                                 for c in a.cases)))
-    # repr keeps apart values that compare equal but evaluate apart (0.0, -0.0)
-    values = tuple((name, repr(params.get(name))) for name in sorted(read))
-    return tuple(model.initial_marking(params).items()), tuple(activities), values
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -214,19 +186,19 @@ def element_unavailabilities(kind: ElementKind, tables) -> list:
     ``tables``, cached on the document ``kind`` builds and the values of the
     table fields it declares, so both cluster kinds share entries.
 
-    Tables not cached are grouped by :func:`structure_key` (for the cluster:
-    M and which coverage factors are 0 or 1, not K, multipliers or rates),
-    and each group's chains stream through one ``steady_state_gth_many``.
+    Tables not cached are grouped by ``CompiledModel.structure`` (for the
+    cluster: M and which coverage factors are 0 or 1, not K, multipliers or
+    rates), and each group's chains stream through one ``steady_state_gth_many``.
     Results are bit for bit those of each table alone; an error is raised
     once the tables before it in its group are cached.
     """
     name = _DOCUMENTS[kind]   # keyed with the values of the fields build_element binds
     keyed = [((name, tuple(getattr(t, n) for n in _document(name)[1])), t) for t in tables]
-    groups = {}   # structure key -> {cache key: its model, built once}
+    groups = {}   # structure -> {cache key: its model, built once}
     for key, t in dict(keyed).items():
         if key not in _SOLVED:
             model = build_element(kind, t)
-            groups.setdefault(structure_key(model), {})[key] = model
+            groups.setdefault(san.compiled(model).structure, {})[key] = model
     misses = sum(map(len, groups.values()))
     _COUNTS.update(hits=len(keyed) - misses, misses=misses)
     for group in groups.values():

@@ -146,8 +146,9 @@ def validate(model: SanModel) -> list[str]:
 
     The one judge of a model, parsed, overridden or built in code.  Names are
     identifiers; parameter, place and activity names share one namespace,
-    unique and free of keywords, and reward names are unique.  The
-    description is a string and an activity's cases a tuple.  Rates,
+    unique and free of keywords, and reward names are unique.  Containers
+    are of their declared types, else the rules that read inside are skipped
+    (all later ones, for the model's own).  The description is a string.  Rates,
     predicates, effect values and rewards are expressions.  Values, counts,
     probabilities and rates that read nothing are checked as they fold; one
     that fails to fold is reported once, and the values derived from it are
@@ -160,6 +161,22 @@ def validate(model: SanModel) -> list[str]:
         diags = [f"description line {n} has leading or trailing blanks: {line!r}"
                  for n, line in enumerate(model.description.split("\n"), 1)
                  if line != line.strip()]
+
+    def typed(container, where, kind, of=tuple):
+        """Report what keeps ``container`` from being ``of`` ``kind``s; True if nothing."""
+        if not isinstance(container, of):
+            diags.append(f"{where} are not a {of.__name__}: {container!r}")
+            return False
+        an = "an" if kind.__name__[0] in "AEIOU" else "a"
+        misfits = [f"{where}[{i}] is not {an} {kind.__name__}: {x!r}"
+                   for i, x in enumerate(container) if not isinstance(x, kind)]
+        diags.extend(misfits)
+        return not misfits
+
+    shapes = (("parameters", object, dict), ("places", Place, tuple),
+              ("activities", Activity, tuple), ("rewards", RewardPredicate, tuple))
+    if not all([typed(getattr(model, w), w, kind, of) for w, kind, of in shapes]):  # each reports
+        return diags   # every rule below reads inside these
     shared, rewards = {}, {}   # a name -> the kind that declared it first
     for kind, names, seen in (("parameter", model.parameters, shared),
                               ("place", [p.name for p in model.places], shared),
@@ -234,6 +251,8 @@ def validate(model: SanModel) -> list[str]:
         return not (params or places)
 
     def check_effects(effects, where):
+        if not typed(effects, f"{where}: effects", Effect):
+            return
         for eff in effects:
             if not isinstance(eff.place, str):
                 diags.append(f"{where}: effect place is not a string: {eff.place!r}")
@@ -249,10 +268,12 @@ def validate(model: SanModel) -> list[str]:
             rate = folded(fold, a.rate, f"{where} rate", earlier)
             if rate is not None and not rate > 0:
                 diags.append(f"{where}: non-positive rate {rate}")
-        check_expr(a.input.predicate, f"{where} predicate")
-        check_effects(a.input.effects, f"{where} input")
-        if not isinstance(a.cases, tuple):
-            diags.append(f"{where}: cases are not a tuple: {a.cases!r}")
+        if isinstance(a.input, InputSpec):
+            check_expr(a.input.predicate, f"{where} predicate")
+            check_effects(a.input.effects, f"{where} input")
+        else:
+            diags.append(f"{where}: input is not an InputSpec: {a.input!r}")
+        if not typed(a.cases, f"{where}: cases", CaseSpec):
             continue
         if not a.cases:
             diags.append(f"{where}: no cases")
@@ -306,7 +327,9 @@ class CompiledModel:
     Canonical order is sorted place name, so identical markings hash the same
     regardless of declaration order.  Each closure is compiled once, together
     with the place columns it reads, and ``labels`` names every
-    ``"activity/case"`` in declaration order.
+    ``"activity/case"`` in declaration order.  ``structure`` is what the
+    marking graph depends on: the initial marking, the activities less their
+    rates and the size of each nonzero probability, and the values gates read.
     """
 
     def __init__(self, model: SanModel):
@@ -316,10 +339,13 @@ class CompiledModel:
         params = model.parameter_values()
         initial = model.initial_marking(params)
         self.initial = tuple(initial[name] for name in self.place_order)
+        read = set()   # the parameters that predicates and effects read
 
-        def lower(e):
+        def lower(e, reads=read):   # e's closure and columns; its parameters join reads
+            refs, places = ex.identifiers(e)
             fn = ex.compile_expr(e, self.index, params)
-            return fn, tuple(sorted(self.index[p] for p in ex.identifiers(e)[1]))
+            reads |= refs
+            return fn, tuple(sorted(self.index[p] for p in places))
 
         def compile_effects(effects):
             return tuple((self.index[eff.place], EFFECT_OPS.index(eff.op), *lower(eff.value))
@@ -328,7 +354,7 @@ class CompiledModel:
         self.activities, labels = [], []
         for a in model.activities:
             pred, pred_cols = lower(a.input.predicate)
-            rate, rate_cols = lower(a.rate) if a.timed else (None, ())
+            rate, rate_cols = lower(a.rate, set()) if a.timed else (None, ())
             self.activities.append(CompiledActivity(
                 name=a.name,
                 timed=a.timed,
@@ -343,6 +369,12 @@ class CompiledModel:
             ))
             labels += [f"{a.name}/{ci}" for ci in range(len(a.cases))]
         self.labels = tuple(labels)
+        # repr keeps apart values that compare equal but evaluate apart (0.0, -0.0)
+        self.structure = (self.place_order, self.initial, tuple(
+            (a.name, a.timed, a.input, tuple(
+                (p != 0.0, c.effects) for p, c in zip(ca.case_probs, a.cases)))
+            for a, ca in zip(model.activities, self.activities)),
+            tuple((name, repr(params[name])) for name in sorted(read)))
         self.timed_activities = [a for a in self.activities if a.timed]
         self.instant_activities = [a for a in self.activities if not a.timed]
         self.rewards = {r.name: ex.compile_expr(r.predicate, self.index, params)

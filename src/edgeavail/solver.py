@@ -320,8 +320,8 @@ def steady_state_iterative(c: Ctmc, tol: float = DEFAULT_TOL,
     lower = sp.tril(A, 0).tocsr()          # D + L
     upper = sp.triu(A, 1).tocsr()          # U
     diag = lower.diagonal()
-    if np.any(diag == 0.0):
-        raise NotIrreducible("a state has zero exit rate (absorbing)")
+    if not diag.all():
+        raise NotIrreducible(f"state {np.argmax(diag == 0.0)} has zero exit rate (absorbing)")
     inv = 1.0 / diag
     # (D + L) D^-1 as canonical CSC: the solve below neither copies nor
     # re-sorts it, and only resets its diagonal to exactly 1.

@@ -25,11 +25,8 @@ discovery (source, then activity in declaration order, then case), so the
 graph does not depend on which path expanded a level.
 
 Which markings are reached, and in what order, depends only on a model's
-structure, not on its rates or on the size of a nonzero case probability.
-``revalue`` is the numeric phase that this allows: given the graph of a model
-of the same structure, it recomputes only the edge weights, with the same
-closures and products as ``explore``, so the result is bit for bit the graph
-``explore`` would build.
+``CompiledModel.structure``.  ``revalue`` is the numeric phase this allows:
+it reweighs the graph of a model of the same structure as ``explore`` would.
 
 ``eliminate_vanishing`` censors the vanishing markings away, an independent
 set of them (no edge between two) at a time, with ``censor``: the same
@@ -340,19 +337,18 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
 
 
 def revalue(g: StateGraph, model: SanModel) -> StateGraph:
-    """``explore(model)``, given the graph ``g`` of a model of the same structure.
+    """``explore(model)``, bit for bit, reusing what it can of any graph ``g``.
 
-    The numeric phase of exploration.  ``model`` must enable, fire and number
-    markings as ``g.model`` does: the same places and initial marking, the
-    same activities with the same predicates, effects and nonzero cases, and
-    the same values of the parameters those read.  Only the weights change,
-    so only ``value`` is rebuilt: a timed edge gets ``rate(source) * p`` and
-    a vanishing one ``(1 / enabled instantaneous activities) * p``, with
-    ``model``'s rates and probabilities and the arithmetic of ``explore``.
-    A rate that is not positive and finite, or that fails to evaluate,
-    falls back to ``explore(model)``, which raises the usual error.
+    When ``g`` is a graph ``explore`` built for a model of ``model``'s
+    ``CompiledModel.structure``, only ``value`` is rebuilt: ``rate(source) *
+    p`` on a timed edge, ``(1 / enabled instantaneous activities) * p`` on a
+    vanishing one, with ``model``'s rates and probabilities.  Any other ``g``,
+    and a rate that is not positive and finite or fails to evaluate, fall
+    back to ``explore(model)``, which raises the usual error.
     """
     cm = compiled(model)
+    if g.model is None or cm.structure != compiled(g.model).structure or g.labels != cm.labels:
+        return explore(model)
     X = np.array(g.states, dtype=np.int64)
     vanishing = np.flatnonzero(~np.array(g.tangible, dtype=bool))
     count = np.zeros(len(X), dtype=np.int64)
@@ -361,8 +357,7 @@ def revalue(g: StateGraph, model: SanModel) -> StateGraph:
         for a in cm.instant_activities if vanishing.size else ():
             count[vanishing] += _values(a.pred, a.pred_cols, X[vanishing]) != 0.0
         for a in cm.activities:
-            first = a.label
-            at = np.flatnonzero((g.label >= first) & (g.label < first + len(a.case_probs)))
+            at = np.flatnonzero((g.label >= a.label) & (g.label < a.label + len(a.case_probs)))
             if not at.size:
                 continue
             rows = g.src[at]
@@ -372,7 +367,7 @@ def revalue(g: StateGraph, model: SanModel) -> StateGraph:
                     return explore(model)
             else:
                 weight = 1.0 / count[rows]
-            value[at] = weight * np.array(a.case_probs)[g.label[at] - first]
+            value[at] = weight * np.array(a.case_probs)[g.label[at] - a.label]
     except (EvaluationError, _Replay):
         # explore raises the real error, and its scalar step takes the
         # columns of a closure too wide to key (_Replay, from _values)

@@ -4,8 +4,10 @@
 Each SAN is explored twice: with every level expanded as a block, and with
 every level stepped marking by marking.  Both must give the same graph, or
 raise the same exception with the same message.  A copy with rescaled rates
-and reweighed cases must keep the SAN's ``structure_key``, and revaluing the
-SAN's graph must give the copy's graph, or raise what exploring it raises.
+and reweighed cases must keep the SAN's ``CompiledModel.structure``.
+Revaluing the SAN's graph for that copy, or for one with a case, a count or
+a parameter changed, must give what exploring the copy gives: its graph, or
+its error.
 """
 
 import dataclasses
@@ -18,11 +20,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from edgeavail import statespace  # noqa: E402
+from edgeavail.errors import StateSpaceExceeded  # noqa: E402
 from edgeavail.expr import BinOp, Num  # noqa: E402
 from edgeavail.expr import parse_expression as P  # noqa: E402
-from edgeavail.models import structure_key  # noqa: E402
 from edgeavail.san import (Activity, CaseSpec, Effect, InputSpec, Place,  # noqa: E402
-                           RewardPredicate, SanModel, fold)
+                           RewardPredicate, SanModel, compiled, fold)
 
 PLACES = ("A", "B", "C", "D")
 
@@ -145,10 +147,52 @@ def reweighed(draw):
 @given(reweighed())
 def test_revalue_matches_explore(pair):
     model, copy = pair
-    assert structure_key(copy) == structure_key(model)
+    assert compiled(copy).structure == compiled(model).structure
     try:
         g = statespace.explore(model, max_states=300)
     except Exception:  # no graph to revalue
         return
     assert (_outcome(lambda: statespace.revalue(g, copy))
             == _outcome(lambda: statespace.explore(copy)))
+
+
+@st.composite
+def restructured(draw):
+    """A SAN from ``sans`` and a copy of it with one nonzero case set to 0,
+    one initial count changed, or ``n`` changed."""
+    model = draw(sans())
+    params = model.parameter_values()
+    change = draw(st.sampled_from(["case", "count", "n"]))
+    if change == "case":
+        live = [(i, ci) for i, a in enumerate(model.activities)
+                for ci, c in enumerate(a.cases) if fold(c.probability, params) != 0.0]
+        i, ci = draw(st.sampled_from(live))
+        a = model.activities[i]
+        cases = list(a.cases)
+        cases[ci] = dataclasses.replace(cases[ci], probability=0.0)
+        activities = list(model.activities)
+        activities[i] = dataclasses.replace(a, cases=tuple(cases))
+        return model, dataclasses.replace(model, activities=tuple(activities))
+    if change == "count":
+        places = list(model.places)
+        k = draw(st.integers(0, len(places) - 1))
+        now = model.initial_marking(params)[places[k].name]
+        places[k] = dataclasses.replace(
+            places[k], initial_tokens=draw(st.integers(0, 4).filter(lambda c: c != now)))
+        return model, dataclasses.replace(model, places=tuple(places))
+    n = draw(st.sampled_from([1.0, 2.0, 3.0]).filter(lambda n: n != params["n"]))
+    return model, dataclasses.replace(model, parameters={**model.parameters, "n": n})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(restructured())
+def test_revalue_matches_explore_for_any_pair(pair):
+    model, copy = pair
+    try:
+        g = statespace.explore(model, max_states=300)
+    except Exception:  # no graph to revalue
+        return
+    expected = _outcome(lambda: statespace.explore(copy, max_states=300))
+    if expected[0] is StateSpaceExceeded:   # revalue would explore without the cap
+        return
+    assert _outcome(lambda: statespace.revalue(g, copy)) == expected

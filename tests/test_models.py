@@ -11,6 +11,7 @@ from edgeavail.document import parse_model
 from edgeavail.errors import EvaluationError
 from edgeavail.experiments import table_hash
 from edgeavail.models import ElementKind, element_unavailability
+from edgeavail.san import compiled
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
@@ -268,12 +269,15 @@ def test_batch_explores_each_structure_once_and_keeps_order(table, counted_explo
     assert element_unavailability.cache_info() == (2, 5, None, 5)
 
 
-def test_structure_key_holds_what_the_graph_depends_on(table):
-    key = md.structure_key(md.build_cluster(table))
+def test_structure_holds_what_the_graph_depends_on(table):
+    def structure(**overrides):
+        return compiled(md.build_cluster(table.with_overrides(**overrides))).structure
+
+    key = structure()
     for same in ({"K": 6}, {"alpha_S": 100.0}, {"C_SW": 0.5}, {"mu_HW": 9.0}):
-        assert md.structure_key(md.build_cluster(table.with_overrides(**same))) == key
+        assert structure(**same) == key
     for other in ({"M": 9, "K": 9}, {"C_SW": 1.0}, {"C_HW": 0.0}):
-        assert md.structure_key(md.build_cluster(table.with_overrides(**other))) != key
+        assert structure(**other) != key
 
 
 def test_overflowing_rate_raises_as_a_cold_solve_does(table, counted_explore):

@@ -203,6 +203,37 @@ def test_validate_reports_an_effect_place_that_is_not_a_string():
     assert validate(m) == ["activity 'fail' input: effect place is not a string: 3"]
 
 
+def _malformed(shape):
+    m = two_state_model()
+    fail = m.activities[0]
+    if shape == "input effects":
+        return _with_fail(m, input=InputSpec(fail.input.predicate, None))
+    if shape == "case effects":
+        return _with_fail(m, cases=(CaseSpec(1.0, None),))
+    if shape == "input":
+        return _with_fail(m, input=None)
+    if shape == "effect":
+        return _with_fail(m, input=InputSpec(fail.input.predicate, ("Up",)))
+    if shape == "place":
+        return dataclasses.replace(m, places=(m.places[0], "Down"))
+    return dataclasses.replace(m, **{shape: None})
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("input effects", "activity 'fail' input: effects are not a tuple: None"),
+    ("case effects", "activity 'fail' case 0: effects are not a tuple: None"),
+    ("input", "activity 'fail': input is not an InputSpec: None"),
+    ("effect", "activity 'fail' input: effects[0] is not an Effect: 'Up'"),
+    ("place", "places[1] is not a Place: 'Down'"),
+    ("places", "places are not a tuple: None"),
+    ("parameters", "parameters are not a dict: None"),
+    ("activities", "activities are not a tuple: None"),
+    ("rewards", "rewards are not a tuple: None"),
+])
+def test_validate_reports_a_wrong_typed_container(shape, message):
+    assert validate(_malformed(shape)) == [message]
+
+
 @pytest.mark.parametrize("line", ["  indented", "trailing ", "crlf\r", "\ttab"])
 def test_validate_rejects_blanks_around_a_description_line(line):
     m = dataclasses.replace(two_state_model(), description=f"first\n{line}")

@@ -212,6 +212,29 @@ def test_gth_rejects_absorbing_state_zero(n):
         steady_state_gth(_hand_chain(src, src - 1, n))
 
 
+def test_gth_sparse_stages_name_the_state_they_cut_off(monkeypatch):
+    # two closed 4-rings, censored by sparse stages down to one state
+    monkeypatch.setattr(solver, "_DENSE_BLOCK", 1)
+    monkeypatch.setattr(solver, "_MIN_STAGE_SHARE", 0)
+    src = np.arange(8)
+    with pytest.raises(NotIrreducible, match=r"^state 3 cannot reach the states left"):
+        steady_state_gth(_hand_chain(src, 4 * (src // 4) + (src + 1) % 4, 8))
+
+
+def test_one_state_chain_is_solved_by_both_solvers():
+    c = Ctmc([(0,)], ("s",), sp.csr_matrix((1, 1)), np.zeros(1), "up")
+    for solve in (steady_state_gth, steady_state_iterative):
+        state = solve(c)
+        assert state.distribution.tolist() == [1.0]
+        assert unavailability(c, state) == 1.0
+
+
+def test_gauss_seidel_names_the_absorbing_state():
+    c = _hand_chain([0], [1], 2)   # state 1 has no exit
+    with pytest.raises(NotIrreducible, match=r"^state 1 has zero exit rate \(absorbing\)$"):
+        steady_state_iterative(c)
+
+
 def test_unavailability_keeps_digits_of_tiny_u():
     lam, mu = 1e-12, 1.0
     c = _chain(two_state_model(lam=lam, mu=mu))

@@ -529,6 +529,55 @@ def test_block_errors_replay_through_scalar_step(monkeypatch, model, error):
     assert messages[0] == messages[1]
 
 
+def _toggles(raised=False):
+    """Nine places flipped between 0 and 1 (levels 4 and 5 hold 126 markings
+    each) beside a place that holds -1, built in code as ``validate`` would
+    refuse it: never touched, or ``raised`` to 0 by one more activity, so
+    that a level mixes both counts."""
+    flips = tuple(
+        Activity(f"flip{i}", P("1"), InputSpec(P("1"), (set_to(f"T{i}", P(f"1 - #T{i}")),)),
+                 (CaseSpec(1.0, ()),))
+        for i in range(9))
+    raise_it = Activity("raise", P("1"), InputSpec(P("#Neg < 0"), (set_to("Neg", 0),)),
+                        (CaseSpec(1.0, ()),))
+    return SanModel(places=(*(Place(f"T{i}") for i in range(9)), Place("Neg", -1)),
+                    parameters={}, activities=flips + ((raise_it,) if raised else ()),
+                    rewards=(RewardPredicate("up", P("1")),))
+
+
+def _picked_then_filled():
+    """One of 100 markings picked, then 64 places filled and all reset: the
+    picked level's successors need 64 + 7 + 2 bits to key."""
+    fill = tuple(f"P{i}" for i in range(64))
+    return SanModel(
+        places=(*map(Place, fill), Place("Which"), Place("Stage")),
+        parameters={},
+        activities=(
+            Activity("pick", P("1"), InputSpec(P("#Stage = 0"), (set_to("Stage", 1),)),
+                     tuple(CaseSpec(0.01, (set_to("Which", k),)) for k in range(100))),
+            Activity("fill", P("1"), InputSpec(P("#Stage = 1"), ()),
+                     (CaseSpec(1.0, (*(set_to(p, 1) for p in fill), set_to("Stage", 2))),)),
+            Activity("reset", P("1"), InputSpec(P("#Stage = 2"), ()),
+                     (CaseSpec(1.0, tuple(set_to(p, 0) for p in (*fill, "Which", "Stage"))),)),
+        ),
+        rewards=(RewardPredicate("up", P("1")),),
+    )
+
+
+@pytest.mark.parametrize("build, n_states", [
+    (_toggles, 512), (lambda: _toggles(raised=True), 1024), (_picked_then_filled, 201),
+], ids=["negative", "negative-raised", "wide"])
+def test_block_keys_replay_what_they_cannot_pack(monkeypatch, build, n_states):
+    # the block path cannot key a negative count or more than 63 bits: it
+    # replays such a level with the scalar step
+    graphs = []
+    for block_min in (1, 10**9):
+        monkeypatch.setattr(statespace, "_BLOCK_MIN", block_min)
+        graphs.append(_graph_sha256(explore(build())))
+    assert graphs[0] == graphs[1]
+    assert explore(build()).n_states == n_states
+
+
 def _split(p, r):
     """Timed edges whose rate reads the marking, and vanishing ones with a
     zero-probability case between two that ``p`` weighs."""
@@ -556,6 +605,20 @@ def test_revalue_rebuilds_the_weights_explore_would():
         got = revalue(g, new)
         assert got.model is new
         assert _graph_sha256(got) == _graph_sha256(explore(new))
+
+
+def test_revalue_explores_a_graph_it_cannot_reuse(table):
+    small = md.build_cluster(table.with_overrides(M=9, K=8))
+    cold = explore(small)
+    assert cold.n_states == 715
+    # another structure: the (10, 9) cluster's 946 markings
+    assert _graph_sha256(revalue(explore(md.build_cluster(table)), small)) == _graph_sha256(cold)
+    # no model at all
+    assert _graph_sha256(revalue(state_graph([True], []), small)) == _graph_sha256(cold)
+    # the same structure, but reduced: its labels are not the model's
+    reduced = eliminate_vanishing(explore(_split(0.25, 1.0)))
+    assert _graph_sha256(revalue(reduced, _split(0.6, 3.0))) == _graph_sha256(
+        explore(_split(0.6, 3.0)))
 
 
 @pytest.mark.parametrize("r, error", [(0.0, DivisionByZero), (-1.0, EvaluationError)])
