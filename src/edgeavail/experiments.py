@@ -117,8 +117,8 @@ class _SystemConfig:
     cfg: RedundancyConfig
     t_5gc: IntensityTable
     t_mano: IntensityTable
-    # reported in the CSV alpha columns (the multiplier actually swept);
-    # None means "take them from the 5gc table"
+    # reported in the CSV alpha columns (the swept table's, which the 5gc
+    # table is not when only mano is swept); None means "take the 5gc table's"
     alphas: tuple | None = None
 
 
@@ -221,15 +221,14 @@ def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
         raise ValueError("alpha values must be > 0")
     cfg = RedundancyConfig(2, 2, 2, 2)
     configs = []
-    for ai, alpha_name in enumerate(("alpha_H", "alpha_O", "alpha_S")):
+    for alpha_name in ("alpha_H", "alpha_O", "alpha_S"):
         for v in values:
             ta = t.with_overrides(**{alpha_name: float(v)})
             t5 = ta if targets in ("both", "5gc") else t
             tm = ta if targets in ("both", "mano") else t
-            alphas = tuple(float(v) if i == ai else 1.0 for i in range(3))
             configs.append(_SystemConfig(
                 f"{alpha_name}={_num(float(v))},targets={targets}", cfg, t5, tm,
-                alphas=alphas))
+                alphas=(ta.alpha_H, ta.alpha_O, ta.alpha_S)))
     return _result(_evaluate(configs, t), t)
 
 

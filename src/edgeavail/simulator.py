@@ -5,26 +5,28 @@ and its one-step rule (``CompiledModel.moves``, which rejects bad rates) with
 the explorer: it plays the token game directly on markings, builds no
 generator matrix, eliminates no vanishing markings and calls no solver.
 
-Per step, every enabled timed activity's delay is resampled from its
-exponential rate; with memoryless rates this is statistically identical to
-keeping per-activity clocks, so the next event is drawn from the total rate
-and attributed proportionally.  Instantaneous activities fire immediately
-(equal weights if several are enabled at once); more than a million
-consecutive zero-time firings is reported as a livelock.
+Every random number a trajectory uses is the next value of one stream,
+``rng.random()``, read in blocks (the block size changes no value).  A
+tangible step takes two: the sojourn ``-log(1 - u) / exit rate`` (inverse
+transform, exponential with the total rate, so resampling every delay per
+step equals keeping memoryless clocks), then the outcome.  A vanishing step
+takes no time and one draw, the outcome; more than a million consecutive
+ones are reported as a livelock.  An outcome is an ``(activity, case)`` of
+an enabled activity with case probability ``p > 0`` and weight ``p`` times
+the activity's rate (timed) or equal share (instantaneous), picked by one
+draw in proportion to its weight.
 
 A trajectory revisits a few dozen markings many thousands of times, so it
 walks a chain of interned markings.  The first visit to a marking builds its
-record: ``moves``, the cumulative timed rates and their total (which must be
-finite, else ``EvaluationError``), and the reward flag (evaluated at tangible
-markings only).  The first firing of each ``(activity, case)`` from it calls
-``fire_vec`` and links the record to its successor's; later firings pick the
-activity by bisecting the cumulative rates and follow the link.  One memo per
-``simulate`` or ``simulate_replicated`` call keeps up to
-``DEFAULT_MAX_STATES`` records and links only kept records to each other;
-any other marking gets a fresh record on every visit and a ``fire_vec`` call
-on every firing from it.  The random draws are the ones a plain token game
-makes, in the same order, so the estimates are too, and a bad rate or a bad
-effect raises at the same point of the trajectory.
+record with ``moves`` (its exit rate must be finite, else
+``EvaluationError``); the first firing of each outcome calls ``fire_vec``
+and links the record to its successor's.  One memo per ``simulate`` or
+``simulate_replicated`` call keeps up to ``DEFAULT_MAX_STATES`` records and
+links only kept records to each other; any other marking is stepped and
+fired afresh on every visit.  The draws do not depend on the memo, so
+neither do the estimates, and a bad rate or a bad effect raises at the same
+point of the trajectory.  The draw rule changed once, so estimates per seed
+differ from those of earlier versions.
 
 The estimate is the time average of a 0/1 reward over ``(warmup, horizon]``
 with a batch-means 95% confidence interval (Student-t over equal-width
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ DEFAULT_BATCHES = 20
 DEFAULT_SEED = 12345
 WARMUP_SHARE = 0.01   # of the horizon, when no warmup is given
 MAX_BATCHES = 100_000
+UNIFORM_BLOCK = 4096   # most uniforms drawn from the generator at once
 
 
 @dataclass(frozen=True)
@@ -79,35 +82,38 @@ def _check_common(model, reward, horizon, warmup, seed):
 
 
 class _Record:
-    """A visited marking: its step, built by ``cm.moves`` on the first visit,
-    and the successor of each ``(activity, case)`` fired from it so far.
+    """A visited marking: its outcomes, their running weights and the
+    successor of each outcome fired from it so far.
 
-    ``bounds`` holds the running sums of the enabled timed rates, left to
-    right, without the last one, which is ``total``.  Bisecting a draw below
-    ``total`` therefore picks the first activity whose running sum exceeds
-    it, as a linear scan does, and the last activity takes every draw past
-    the others (the scan's fall-through).
+    ``bounds`` holds the running sums of the outcome weights, left to right,
+    without the last one, which is ``weight``.  Bisecting a draw below
+    ``weight`` therefore picks the first outcome whose running sum exceeds
+    it, as a linear scan does, and the last outcome takes every draw past the
+    others.  ``scale`` is one over the exit rate of a tangible marking.
     """
 
-    __slots__ = ("vec", "tangible", "up", "acts", "bounds", "total", "scale",
+    __slots__ = ("vec", "tangible", "up", "outcomes", "bounds", "weight", "scale",
                  "succ", "kept")
 
     def __init__(self, cm, reward_fn, vec):
         tangible, moves = cm.moves(vec)
         self.vec = vec
         self.tangible = tangible
-        self.acts = [a for a, _ in moves]
-        self.bounds = []
-        self.total = self.scale = 0.0
-        if tangible and moves:
-            self.bounds = list(accumulate(r for _, r in moves))
-            total = self.bounds.pop()
-            if not math.isfinite(total):
-                raise NonFiniteExitRate(total, cm.marking_dict(vec))
-            self.total = total
-            self.scale = 1.0 / total
+        self.outcomes, weights = [], []
+        total = 0.0
+        for a, w in moves:
+            total += w
+            for c, p in enumerate(a.case_probs):
+                if p > 0.0:
+                    self.outcomes.append((a, c))
+                    weights.append(w * p)
+        if not math.isfinite(total):
+            raise NonFiniteExitRate(total, cm.marking_dict(vec))
+        self.bounds = list(accumulate(weights))
+        self.weight = self.bounds.pop() if weights else 0.0
+        self.scale = 1.0 / total if tangible and moves else 0.0
         self.up = tangible and reward_fn(vec) != 0.0
-        self.succ = [[None] * len(a.case_probs) for a in self.acts]
+        self.succ = [None] * len(self.outcomes)
         self.kept = False
 
 
@@ -123,13 +129,24 @@ def _visit(cm, reward_fn, memo, vec) -> _Record:
     return rec
 
 
-def _successor(cm, reward_fn, memo, rec, i, c) -> _Record:
-    """Fire ``rec.acts[i]`` with case ``c``; link the two records if both are
-    kept, so no kept record holds on to a transient one."""
-    nxt = _visit(cm, reward_fn, memo, cm.fire_vec(rec.vec, rec.acts[i], c))
+def _successor(cm, reward_fn, memo, rec, j) -> _Record:
+    """Fire outcome ``j`` of ``rec``; link the two records if both are kept,
+    so no kept record holds on to a transient one."""
+    act, c = rec.outcomes[j]
+    nxt = _visit(cm, reward_fn, memo, cm.fire_vec(rec.vec, act, c))
     if rec.kept and nxt.kept:
-        rec.succ[i][c] = nxt
+        rec.succ[j] = nxt
     return nxt
+
+
+def _uniforms(rng):
+    """``rng.random()``'s values in order, drawn in blocks of 64 doubling up
+    to ``UNIFORM_BLOCK``, so a short trajectory wastes few draws."""
+    n = 64
+    while True:
+        n = min(n, UNIFORM_BLOCK)
+        yield rng.random(n).tolist()
+        n *= 2
 
 
 def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
@@ -141,63 +158,43 @@ def _batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
     width = (horizon - warmup) / batches
     up = [0.0] * batches
     last = batches - 1
-    exponential, random = rng.exponential, rng.random
+    draw = chain.from_iterable(_uniforms(rng)).__next__
+    log = math.log
     rec = _visit(cm, reward_fn, memo, cm.initial)
     t = 0.0
     consecutive_instant = 0
-    while t < horizon:
-        acts = rec.acts
-        if not rec.tangible:
+    while True:
+        if rec.tangible:
+            consecutive_instant = 0
+            # a dead marking keeps the trajectory forever
+            t_next = t - log(1.0 - draw()) * rec.scale if rec.outcomes else horizon
+            if rec.up:
+                lo = t if t > warmup else warmup
+                hi = t_next if t_next < horizon else horizon
+                if hi > lo:
+                    b0 = int((lo - warmup) / width)
+                    b1 = int((hi - warmup) / width)
+                    if b0 > last:
+                        b0 = last
+                    if b1 > last:
+                        b1 = last
+                    if b0 == b1:
+                        up[b0] += hi - lo
+                    else:
+                        up[b0] += warmup + (b0 + 1) * width - lo
+                        for b in range(b0 + 1, b1):
+                            up[b] += width
+                        up[b1] += hi - (warmup + b1 * width)
+            t = t_next
+            if t >= horizon:
+                break
+        else:
             consecutive_instant += 1
             if consecutive_instant > LIVELOCK_LIMIT:
                 raise VanishingLivelock(LIVELOCK_LIMIT)
-            i = 0 if len(acts) == 1 else rng.integers(len(acts))
-            c = _pick_case(acts[i], rng)
-            rec = rec.succ[i][c] or _successor(cm, reward_fn, memo, rec, i, c)
-            continue
-        consecutive_instant = 0
-
-        if not acts:  # dead marking: the trajectory stays here forever
-            t_next = horizon
-        else:
-            t_next = t + exponential(rec.scale)
-            i = bisect_right(rec.bounds, random() * rec.total)
-
-        if rec.up:
-            lo = t if t > warmup else warmup
-            hi = t_next if t_next < horizon else horizon
-            if hi > lo:
-                b0 = int((lo - warmup) / width)
-                b1 = int((hi - warmup) / width)
-                if b0 > last:
-                    b0 = last
-                if b1 > last:
-                    b1 = last
-                if b0 == b1:
-                    up[b0] += hi - lo
-                else:
-                    up[b0] += warmup + (b0 + 1) * width - lo
-                    for b in range(b0 + 1, b1):
-                        up[b] += width
-                    up[b1] += hi - (warmup + b1 * width)
-        t = t_next
-        if t < horizon:
-            c = _pick_case(acts[i], rng)
-            rec = rec.succ[i][c] or _successor(cm, reward_fn, memo, rec, i, c)
+        j = bisect_right(rec.bounds, draw() * rec.weight)
+        rec = rec.succ[j] or _successor(cm, reward_fn, memo, rec, j)
     return np.array(up) / width
-
-
-def _pick_case(a, rng) -> int:
-    if len(a.case_probs) == 1:
-        return 0
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(a.case_probs):
-        acc += p
-        if u < acc:
-            return i
-    # the probabilities may sum to just under one: never pick a zero case
-    return max(i for i, p in enumerate(a.case_probs) if p > 0.0)
 
 
 def _t_interval(values: np.ndarray) -> tuple[float, float]:

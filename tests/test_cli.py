@@ -11,6 +11,7 @@ from edgeavail import cli, errors, solver
 from edgeavail import models as md
 from edgeavail.cli import main
 from edgeavail.document import parse_model
+from edgeavail.simulator import simulate
 
 from conftest import DATA, MODELS, deadline
 
@@ -215,13 +216,17 @@ def test_simulate_infinite_horizon_exits_1(capsys):
     assert err.strip().splitlines() == ["error: need a finite horizon, got inf"]
 
 
-def test_simulate_du_ci_covers_exact(capsys):
+def test_simulate_du_prints_the_library_estimate(capsys):
+    # coverage is the library's to show, over many seeds; the command must
+    # print the library's estimate for its seed, digit for digit
     code, out, _ = run(capsys, "simulate", str(MODELS / "du.san"), "--reward",
                        "up", "--horizon", "1e7", "--seed", "1")
     assert code == 0
     report = kv(out)
-    exact_avail = 1 - 6.542520393290066e-4  # GTH value for the same document
-    assert abs(float(report["point"]) - exact_avail) <= float(report["ci_halfwidth"])
+    est = simulate(parse_model((MODELS / "du.san").read_text()), "up",
+                   horizon=1e7, seed=1)
+    assert (float(report["point"]), float(report["ci_halfwidth"])) == (
+        est.point, est.ci_halfwidth)
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])

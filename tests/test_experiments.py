@@ -118,6 +118,15 @@ def test_alpha_sweep_single_target(table):
     assert (result.rows[0].unavailability > both.rows[0].unavailability)
 
 
+@pytest.mark.parametrize("targets", ["both", "mano"])
+def test_alpha_sweep_reports_the_multipliers_it_holds(table, targets):
+    # the multipliers a row does not sweep are the table's, not 1.0
+    t = table.with_overrides(alpha_O=2.0, alpha_S=3.0)
+    rows = xp.run_alpha_sweep(t, targets=targets, values=(0.1,)).rows
+    assert [(r.alpha_H, r.alpha_O, r.alpha_S) for r in rows] == [
+        (0.1, 2.0, 3.0), (1.0, 0.1, 3.0), (1.0, 2.0, 0.1)]
+
+
 def test_alpha_values_must_be_positive(table):
     with pytest.raises(ValueError):
         xp.run_alpha_sweep(table, values=(0.0, 1.0))

@@ -1,18 +1,20 @@
 """Monte-Carlo estimator: calibration, determinism, failure modes."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from edgeavail import models as md
 from edgeavail import simulator
-from edgeavail.errors import EvaluationError, UnknownReward, VanishingLivelock
+from edgeavail.errors import (EvaluationError, NonFiniteExitRate, UnknownReward,
+                              VanishingLivelock)
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, CompiledModel, InputSpec, Place,
                            RewardPredicate, SanModel, compiled, put, take,
                            validate)
-from edgeavail.simulator import _pick_case, simulate, simulate_replicated
+from edgeavail.simulator import _Record, simulate, simulate_replicated
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc
 
@@ -20,22 +22,33 @@ from conftest import deadline, two_state_model
 
 
 def _reference_step(cm, reward_fn, vec) -> tuple:
-    """``(tangible, moves, total, is_up)`` at ``vec``: ``cm.moves(vec)``, its
-    timed total summed in declaration order, and whether the reward is
-    nonzero, which is evaluated at tangible markings only."""
+    """``(tangible, outcomes, total, is_up)`` at ``vec``.  ``outcomes`` holds
+    ``(activity, case, weight)`` for each case with probability ``p > 0`` of
+    each activity in ``cm.moves(vec)``, weighted ``p`` times the activity's
+    weight there; ``total`` is the exit rate summed in declaration order,
+    which must be finite; ``is_up`` says whether the reward is nonzero, which
+    is evaluated at tangible markings only."""
     tangible, moves = cm.moves(vec)
-    if not tangible:
-        return False, moves, 0.0, False
+    outcomes = [(a, c, w * p) for a, w in moves
+                for c, p in enumerate(a.case_probs) if p > 0.0]
     total = 0.0
-    for _, r in moves:
-        total += r
-    return True, moves, total, reward_fn(vec) != 0.0
+    for _, w in moves:
+        total += w
+    if not math.isfinite(total):
+        raise NonFiniteExitRate(total, cm.marking_dict(vec))
+    return tangible, outcomes, total, tangible and reward_fn(vec) != 0.0
 
 
 def _reference_batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo):
-    """The plain token game that ``simulator._batch_uptimes`` must reproduce
-    bit for bit: it memoizes each marking's step but scans the activities
-    and calls ``fire_vec`` on every firing."""
+    """The token game by the documented draw rule, which
+    ``simulator._batch_uptimes`` must reproduce bit for bit.  Every random
+    number is the next scalar ``rng.random()``.  A tangible step draws its
+    sojourn, ``-log(1 - u)`` times one over the exit rate, and then its
+    outcome; a vanishing step draws only its outcome.  The outcome is found
+    by a linear scan for the first running weight above ``u`` times the
+    weights' sum, the last outcome taking every draw past the others.  The
+    loop memoizes each marking's step but calls ``fire_vec`` on every
+    firing."""
     width = (horizon - warmup) / batches
     up = np.zeros(batches)
     vec = cm.initial
@@ -47,53 +60,62 @@ def _reference_batch_uptimes(cm, reward_fn, horizon, warmup, batches, rng, memo)
             step = _reference_step(cm, reward_fn, vec)
             if len(memo) < simulator.DEFAULT_MAX_STATES:
                 memo[vec] = step
-        tangible, moves, total, is_up = step
-        if not tangible:
+        tangible, outcomes, total, is_up = step
+        if tangible:
+            consecutive_instant = 0
+            if not outcomes:  # dead marking: the trajectory stays here forever
+                t_next = horizon
+            else:
+                t_next = t - math.log(1.0 - rng.random()) * (1.0 / total)
+            if is_up:
+                lo = max(t, warmup)
+                hi = min(t_next, horizon)
+                if hi > lo:
+                    b0 = min(int((lo - warmup) / width), batches - 1)
+                    b1 = min(int((hi - warmup) / width), batches - 1)
+                    if b0 == b1:
+                        up[b0] += hi - lo
+                    else:
+                        up[b0] += warmup + (b0 + 1) * width - lo
+                        for b in range(b0 + 1, b1):
+                            up[b] += width
+                        up[b1] += hi - (warmup + b1 * width)
+            t = t_next
+            if t >= horizon:
+                break
+        else:
             consecutive_instant += 1
             if consecutive_instant > simulator.LIVELOCK_LIMIT:
                 raise VanishingLivelock(simulator.LIVELOCK_LIMIT)
-            a = moves[0][0] if len(moves) == 1 else moves[rng.integers(len(moves))][0]
-            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
-            continue
-        consecutive_instant = 0
-
-        if not moves:  # dead marking: the trajectory stays here forever
-            t_next = horizon
-        else:
-            t_next = t + rng.exponential(1.0 / total)
-            u = rng.random() * total
-            acc = 0.0
-            for a, r in moves:
-                acc += r
-                if u < acc:
-                    break
-
-        if is_up:
-            lo = max(t, warmup)
-            hi = min(t_next, horizon)
-            if hi > lo:
-                b0 = min(int((lo - warmup) / width), batches - 1)
-                b1 = min(int((hi - warmup) / width), batches - 1)
-                if b0 == b1:
-                    up[b0] += hi - lo
-                else:
-                    up[b0] += warmup + (b0 + 1) * width - lo
-                    for b in range(b0 + 1, b1):
-                        up[b] += width
-                    up[b1] += hi - (warmup + b1 * width)
-        t = t_next
-        if t < horizon:
-            vec = cm.fire_vec(vec, a, _pick_case(a, rng))
+        weight = 0.0
+        for _, _, w in outcomes:
+            weight += w
+        x = rng.random() * weight
+        acc = 0.0
+        for a, c, w in outcomes:
+            acc += w
+            if x < acc:
+                break
+        vec = cm.fire_vec(vec, a, c)
     return up / width
 
 
+SEEDS = range(1, 21)
+# hits out of 20 seeds for a 95% interval: exact coverage falls below 17
+# about 1.6% of the time, a true coverage of 80% 59% of the time
+MIN_HITS = 17
+
+
 def test_two_state_point_and_coverage(two_state):
-    est = simulate(two_state, "up", horizon=1e6, seed=42)
-    assert est.point == pytest.approx(0.9, abs=0.01)
-    assert abs(est.point - 0.9) <= est.ci_halfwidth
-    assert 0.0 <= est.point <= 1.0
-    assert est.ci_halfwidth >= 0.0
-    assert est.batches == 20 and est.seed == 42
+    hits = 0
+    for seed in SEEDS:
+        est = simulate(two_state, "up", horizon=1e6, seed=seed)
+        assert est.point == pytest.approx(0.9, abs=0.01)
+        assert 0.0 <= est.point <= 1.0
+        assert est.ci_halfwidth >= 0.0
+        assert est.batches == 20 and est.seed == seed
+        hits += abs(est.point - 0.9) <= est.ci_halfwidth
+    assert hits >= MIN_HITS
 
 
 def test_identical_seed_reproduces_bit_for_bit(two_state):
@@ -108,14 +130,18 @@ def test_du_ci_covers_exact_value(table):
     du = md.build_du(table)
     chain = to_ctmc(eliminate_vanishing(explore(du)), "up")
     exact = 1.0 - unavailability(chain, steady_state_gth(chain))
-    est = simulate(du, "up", horizon=1e7, seed=1)
-    assert abs(est.point - exact) <= est.ci_halfwidth
+    hits = sum(abs(est.point - exact) <= est.ci_halfwidth
+               for est in (simulate(du, "up", horizon=1e7, seed=seed) for seed in SEEDS))
+    assert hits >= MIN_HITS
 
 
 def test_replicated_two_state(two_state):
-    est = simulate_replicated(two_state, "up", horizon=2e5, replications=20, seed=3)
-    assert abs(est.point - 0.9) <= est.ci_halfwidth
-    assert est.batches == 20
+    hits = 0
+    for seed in SEEDS:
+        est = simulate_replicated(two_state, "up", horizon=2e5, replications=20, seed=seed)
+        assert est.batches == 20 and est.seed == seed
+        hits += abs(est.point - 0.9) <= est.ci_halfwidth
+    assert hits >= MIN_HITS
 
 
 def test_replicated_is_deterministic(two_state):
@@ -268,34 +294,28 @@ def test_overflowing_exit_rate_rejected_by_to_ctmc_and_simulate():
         simulate_replicated(m, "up", horizon=1e3, seed=1)
 
 
-class _StubRng:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_pick_case_never_falls_back_to_zero_probability_case():
-    # the probabilities sum to 1 - 1e-13, which validate() accepts; a draw
-    # above that sum must land on the last case that explore() enumerates
+@pytest.mark.parametrize("probs", [(0.3, 0.7 - 1e-17, 0.0), (0.7, 0.3 - 1e-13, 0.0)])
+def test_zero_probability_case_is_never_an_outcome(probs):
+    # validate() accepts both sums; a draw just below one, scaled by the
+    # record's weight, must land on the last case that has a probability
     m = SanModel(
         places=(Place("A", 1), Place("B", 0)),
         parameters={},
         activities=(
-            Activity("go", P("1"), InputSpec(P("#A >= 1"), (take("A"),)),
-                     (CaseSpec(0.7, (put("B"),)),
-                      CaseSpec(0.3 - 1e-13, (put("B"),)),
-                      CaseSpec(0.0, (put("B"),)))),
+            Activity("go", P("2"), InputSpec(P("#A >= 1"), (take("A"),)),
+                     tuple(CaseSpec(p, (put("B"),)) for p in probs)),
             Activity("back", P("1"), InputSpec(P("#B >= 1"), (take("B"),)),
                      (CaseSpec(1.0, (put("A"),)),)),
         ),
         rewards=(RewardPredicate("up", P("#A >= 1")),),
     )
     assert validate(m) == []
-    go = compiled(m).activities[0]
-    assert _pick_case(go, _StubRng(1 - 2**-53)) == 1
-    assert _pick_case(go, _StubRng(0.5)) == 0
+    cm = compiled(m)
+    rec = _Record(cm, cm.rewards["up"], cm.initial)
+    assert [(a.name, c) for a, c in rec.outcomes] == [("go", 0), ("go", 1)]
+    assert rec.bounds == [2 * probs[0]] and rec.scale == 0.5
+    assert bisect_right(rec.bounds, (1 - 2**-53) * rec.weight) == 1
+    assert bisect_right(rec.bounds, 0.0) == 0
 
 
 def test_reward_evaluated_only_at_tangible_markings():
@@ -320,26 +340,28 @@ def test_reward_evaluated_only_at_tangible_markings():
     assert simulate_replicated(m, "up", horizon=1e3, replications=3, seed=1).point == 1.0
 
 
-# (point, ci_halfwidth) at horizon 2e5, seed 5, as the loop gave before the
-# memo (numpy PCG64); they move if a draw, a sum's order or the loop changes
+# (point, ci_halfwidth) at horizon 2e5, seed 5, as the reference loop gives
+# them (numpy PCG64); they move if a draw, a sum's order or the loop changes
 PINNED = {
-    "ru": (0.9992739577267274, 0.0002189093371831159),
-    "du": (0.9994270937086391, 0.00017161656259666525),
-    "cu": (0.9997750446459717, 7.811492392467486e-05),
-    "meh": (0.9993653256921331, 0.00015309890914099334),
-    "cluster": (0.9996696218889449, 0.00014182804156169648),
+    "ru": (0.9992961065256033, 0.00021371246579924538),
+    "du": (0.9994368184081237, 0.00017864818153457334),
+    "cu": (0.9998213929892463, 4.780470665350555e-05),
+    "meh": (0.9994045752847516, 0.00011836795772947243),
+    "cluster": (0.9997467098514825, 6.300047230809397e-05),
 }
 
 
 @pytest.mark.parametrize("cap", [0, 1])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_memo_never_changes_an_estimate(table, monkeypatch, name, cap):
-    # cap 0 steps every visit afresh, as the loop did before the memo;
-    # cap 1 memoizes the first marking only, so both paths interleave
+    # cap 0 steps every visit afresh; cap 1 memoizes the first marking only,
+    # so both paths interleave; the reference loop states the draw rule
     model = md.builtin_models(table)[name]
     memoized = simulate(model, "up", horizon=2e5, seed=5)
     assert (memoized.point, memoized.ci_halfwidth) == PINNED[name]
     monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", cap)
+    assert simulate(model, "up", horizon=2e5, seed=5) == memoized
+    monkeypatch.setattr(simulator, "_batch_uptimes", _reference_batch_uptimes)
     assert simulate(model, "up", horizon=2e5, seed=5) == memoized
 
 
@@ -350,6 +372,25 @@ def test_memo_never_changes_a_replicated_estimate(table, monkeypatch, name):
     monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
     assert simulate_replicated(model, "up", horizon=5e4, replications=4,
                                seed=9) == memoized
+    monkeypatch.setattr(simulator, "_batch_uptimes", _reference_batch_uptimes)
+    assert simulate_replicated(model, "up", horizon=5e4, replications=4,
+                               seed=9) == memoized
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_uniform_block_size_never_changes_an_estimate(table, monkeypatch, name):
+    # blocks of one draw are the scalar calls; seven divides neither the
+    # default's first block nor its growth
+    model = md.builtin_models(table)[name]
+
+    def run():
+        return (simulate(model, "up", horizon=2e5, seed=5),
+                simulate_replicated(model, "up", horizon=5e4, replications=4, seed=9))
+
+    default = run()
+    for block in (1, 7):
+        monkeypatch.setattr(simulator, "UNIFORM_BLOCK", block)
+        assert run() == default
 
 
 def test_memo_steps_each_marking_once_and_fires_as_often(table, monkeypatch):
@@ -407,8 +448,7 @@ def test_memo_keeps_at_most_cap_records_and_links_only_kept_ones(table, monkeypa
     capped = simulate(cluster, "up", horizon=2e5, seed=5)
     memo, = memos
     assert len(memo) == 3
-    links = [nxt for rec in memo.values() for row in rec.succ for nxt in row
-             if nxt is not None]
+    links = [nxt for rec in memo.values() for nxt in rec.succ if nxt is not None]
     assert links and all(memo.get(nxt.vec) is nxt for nxt in links)
     monkeypatch.setattr(simulator, "DEFAULT_MAX_STATES", 0)
     assert simulate(cluster, "up", horizon=2e5, seed=5) == capped
