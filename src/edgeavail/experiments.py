@@ -27,6 +27,7 @@ import io
 from dataclasses import astuple, dataclass, fields
 from functools import partial
 
+from . import expr as ex
 from .faulttree import RedundancyConfig, u_ran, u_sys
 from .models import (ElementKind, IntensityTable, element_unavailabilities,
                      element_unavailability)
@@ -88,16 +89,12 @@ class SweepResult:
         w.writerow(CSV_HEADER.split(","))
         for r in self.rows:
             *head, alpha_H, alpha_O, alpha_S, u = astuple(r)
-            w.writerow([*head, *map(_num, (alpha_H, alpha_O, alpha_S)), f"{u:.8e}"])
+            w.writerow([*head, *map(ex.format_number, (alpha_H, alpha_O, alpha_S)), f"{u:.8e}"])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_csv())
-
-
-def _num(v: float) -> str:
-    return str(int(v)) if v == int(v) else repr(v)
 
 
 def table_hash(t: IntensityTable) -> str:
@@ -227,7 +224,7 @@ def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
             t5 = ta if targets in ("both", "5gc") else t
             tm = ta if targets in ("both", "mano") else t
             configs.append(_SystemConfig(
-                f"{alpha_name}={_num(float(v))},targets={targets}", cfg, t5, tm,
+                f"{alpha_name}={ex.format_number(float(v))},targets={targets}", cfg, t5, tm,
                 alphas=(ta.alpha_H, ta.alpha_O, ta.alpha_S)))
     return _result(_evaluate(configs, t), t)
 

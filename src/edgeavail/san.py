@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import EvaluationError, NegativeTokens
+from .errors import EvaluationError, NegativeTokens, SemanticError
 
 Marking = dict  # place name -> non-negative token count
 
@@ -139,6 +139,19 @@ def set_to(place: str, value) -> Effect:
 
 PROB_SUM_TOL = 1e-12
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")   # an IDENT token, as ``expr`` reads one
+
+
+def _probability_problems(where: str, probs) -> list:
+    """What keeps one activity's folded case probabilities from being a
+    distribution the token game can draw from, as ``(case, message)`` pairs
+    in case order: each must lie in [0, 1], and together they must sum to 1
+    within ``PROB_SUM_TOL``, reported under case ``len(probs)``.  None marks
+    a case that did not fold, and then the sum is not checked."""
+    problems = [(i, f"{where} case {i}: probability {p} outside [0, 1]")
+                for i, p in enumerate(probs) if p is not None and not 0.0 <= p <= 1.0]
+    if probs and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+        problems.append((len(probs), f"{where}: case probabilities sum to {sum(probs)!r}"))
+    return problems
 
 
 def validate(model: SanModel) -> list[str]:
@@ -277,7 +290,7 @@ def validate(model: SanModel) -> list[str]:
             continue
         if not a.cases:
             diags.append(f"{where}: no cases")
-        probs = []
+        probs, ends = [], []   # ends[i]: len(diags) once case i has folded
         for i, c in enumerate(a.cases):
             if isinstance(c.probability, (numbers.Real, ex.Expr)):
                 prob = folded(fold, c.probability, f"{where} case {i}", earlier)
@@ -285,12 +298,12 @@ def validate(model: SanModel) -> list[str]:
                 diags.append(f"{where} case {i}: probability is not a number: "
                              f"{c.probability!r}")
                 prob = None
-            if prob is not None and not 0.0 <= prob <= 1.0:
-                diags.append(f"{where} case {i}: probability {prob} outside [0, 1]")
             probs.append(prob)
+            ends.append(len(diags))
             check_effects(c.effects, f"{where} case {i}")
-        if a.cases and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-            diags.append(f"{where}: case probabilities sum to {sum(probs)!r}")
+        ends.append(len(diags))
+        for i, message in reversed(_probability_problems(where, probs)):
+            diags.insert(ends[i], message)
 
     for r in model.rewards:
         check_expr(r.predicate, f"reward '{r.name}'")
@@ -307,7 +320,9 @@ class CompiledActivity:
     ``pred_cols`` and ``rate_cols`` are the sorted place columns the ``pred``
     and ``rate`` closures read (``()`` when instantaneous, ``rate`` None).
     Effects are ``(place, op, value_fn, columns)``, op 0/1/2 for ``+= -= =``.
-    Case ``c`` is named ``CompiledModel.labels[label + c]``.
+    Case ``c`` is named ``CompiledModel.labels[label + c]``.  ``live`` holds
+    the ``(case, probability)`` pairs with ``p > 0``, in case order: the one
+    statement of which cases can fire.
     """
     name: str
     timed: bool
@@ -319,6 +334,7 @@ class CompiledActivity:
     input_effects: tuple
     case_probs: tuple
     case_effects: tuple
+    live: tuple
 
 
 class CompiledModel:
@@ -329,7 +345,9 @@ class CompiledModel:
     with the place columns it reads, and ``labels`` names every
     ``"activity/case"`` in declaration order.  ``structure`` is what the
     marking graph depends on: the initial marking, the activities less their
-    rates and the size of each nonzero probability, and the values gates read.
+    rates and the size of each live probability, and the values gates read.
+    Case probabilities outside [0, 1], or not summing to 1, raise
+    ``SemanticError`` with ``validate``'s message.
     """
 
     def __init__(self, model: SanModel):
@@ -353,6 +371,10 @@ class CompiledModel:
 
         self.activities, labels = [], []
         for a in model.activities:
+            probs = tuple(fold(c.probability, params) for c in a.cases)
+            problems = _probability_problems(f"activity '{a.name}'", probs)
+            if problems:
+                raise SemanticError("; ".join(message for _, message in problems))
             pred, pred_cols = lower(a.input.predicate)
             rate, rate_cols = lower(a.rate, set()) if a.timed else (None, ())
             self.activities.append(CompiledActivity(
@@ -364,15 +386,16 @@ class CompiledModel:
                 rate_cols=rate_cols,
                 label=len(labels),
                 input_effects=compile_effects(a.input.effects),
-                case_probs=tuple(fold(c.probability, params) for c in a.cases),
+                case_probs=probs,
                 case_effects=tuple(compile_effects(c.effects) for c in a.cases),
+                live=tuple((ci, p) for ci, p in enumerate(probs) if p > 0.0),
             ))
             labels += [f"{a.name}/{ci}" for ci in range(len(a.cases))]
         self.labels = tuple(labels)
         # repr keeps apart values that compare equal but evaluate apart (0.0, -0.0)
         self.structure = (self.place_order, self.initial, tuple(
-            (a.name, a.timed, a.input, tuple(
-                (p != 0.0, c.effects) for p, c in zip(ca.case_probs, a.cases)))
+            (a.name, a.timed, a.input, tuple(ci for ci, _ in ca.live),
+             tuple(c.effects for c in a.cases))
             for a, ca in zip(model.activities, self.activities)),
             tuple((name, repr(params[name])) for name in sorted(read)))
         self.timed_activities = [a for a in self.activities if a.timed]

@@ -11,10 +11,10 @@ tangible step takes two: the sojourn ``-log(1 - u) / exit rate`` (inverse
 transform, exponential with the total rate, so resampling every delay per
 step equals keeping memoryless clocks), then the outcome.  A vanishing step
 takes no time and one draw, the outcome; more than a million consecutive
-ones are reported as a livelock.  An outcome is an ``(activity, case)`` of
-an enabled activity with case probability ``p > 0`` and weight ``p`` times
-the activity's rate (timed) or equal share (instantaneous), picked by one
-draw in proportion to its weight.
+ones are reported as a livelock.  An outcome is an enabled activity and one
+of its live cases (``CompiledActivity.live``, probability ``p > 0``), weighed
+``p`` times the activity's rate (timed) or equal share (instantaneous); one
+draw picks it in proportion to its weight.
 
 A trajectory revisits a few dozen markings many thousands of times, so it
 walks a chain of interned markings.  The first visit to a marking builds its
@@ -103,10 +103,9 @@ class _Record:
         total = 0.0
         for a, w in moves:
             total += w
-            for c, p in enumerate(a.case_probs):
-                if p > 0.0:
-                    self.outcomes.append((a, c))
-                    weights.append(w * p)
+            for c, p in a.live:
+                self.outcomes.append((a, c))
+                weights.append(w * p)
         if not math.isfinite(total):
             raise NonFiniteExitRate(total, cm.marking_dict(vec))
         self.bounds = list(accumulate(weights))

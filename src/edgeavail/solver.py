@@ -69,8 +69,9 @@ DEFAULT_MAX_ITER = 1_000_000
 # that; (40,36) holds at most 26 MB).  The dense kernel works on panels of
 # _PANEL states, and applies each panel's update in column strips of the same
 # width: an (n x 32) @ (32 x 32) product and an n x 32 temporary per chain.
-# A stack holds at most _STACK_BYTES, two remainders of _DENSE_BLOCK states:
-# larger stacks gain little on the studies' 267-state remainders.
+# A stack holds at most _STACK_BYTES, two remainders of _DENSE_BLOCK states
+# (1.4 MB), which bounds memory, not time: 25 (10, 9) cluster chains, each a
+# 267-state remainder, solve about 12% faster with no cap (2-vCPU Xeon).
 _DENSE_BLOCK = 300
 _MIN_STAGE_SHARE = 0.03
 _DENSE_MAX = 5_000

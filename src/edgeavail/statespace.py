@@ -3,9 +3,10 @@
 ``explore`` walks the marking graph breadth first, one level (the markings
 first found while expanding the level before) at a time.  A marking is
 *vanishing* when some instantaneous activity is enabled there (its sojourn
-time is zero); everything else is *tangible*.  Edges out of tangible markings
-carry rates, edges out of vanishing markings carry probabilities summing to
-one.  ``StateGraph`` holds the edges as parallel arrays.
+time is zero); everything else is *tangible*.  An enabled activity gives one
+edge per live case (``CompiledActivity.live``).  Edges out of tangible
+markings carry rates, edges out of vanishing markings carry probabilities
+summing to one.  ``StateGraph`` holds the edges as parallel arrays only.
 
 A level of at least ``_BLOCK_MIN`` markings is expanded as one block of
 integer rows.  Each compiled predicate, rate and effect is called once per
@@ -46,7 +47,7 @@ reproducible run to run.  Independent models can be explored concurrently.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -67,12 +68,7 @@ _EXACT_COUNT = 2.0 ** 53   # a count this large leaves the block path
 _CLASSES_SHOWN = 5         # a NotIrreducible message lists this many classes
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    value: float  # rate (tangible src) or probability (vanishing src)
-    label: str    # "activity/case"
+Edge = namedtuple("Edge", "src dst value label")   # rate or probability, "activity/case"
 
 
 @dataclass
@@ -80,7 +76,8 @@ class StateGraph:
     """Markings and the edges between them, as parallel arrays.
 
     Edge ``k`` runs from state ``src[k]`` to ``dst[k]`` with weight
-    ``value[k]`` and label ``labels[label[k]]``.
+    ``value[k]`` and label ``labels[label[k]]``; ``edges`` lists them as
+    ``Edge`` tuples, a copy made on each access.
     """
     model: SanModel
     place_order: tuple
@@ -94,9 +91,10 @@ class StateGraph:
     initial: int
 
     @property
-    def edges(self) -> "_Edges":
-        """The edges as ``Edge`` values, in array order."""
-        return _Edges(self)
+    def edges(self) -> list:
+        names = [self.labels[i] for i in self.label.tolist()]
+        return list(map(Edge, self.src.tolist(), self.dst.tolist(), self.value.tolist(),
+                        names))
 
     @property
     def n_states(self) -> int:
@@ -120,36 +118,6 @@ class StateGraph:
             kind = "rate" if self.tangible[e.src] else "prob"
             lines.append(f"state_{e.src} -> state_{e.dst} {kind} {e.value!r} label {e.label}")
         return "\n".join(lines)
-
-
-class _Edges(Sequence):
-    """A graph's edge arrays read as ``Edge`` values, built on access."""
-
-    def __init__(self, g: StateGraph):
-        self._g = g
-
-    def __len__(self) -> int:
-        return len(self._g.src)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        g = self._g
-        k = range(len(self))[k]
-        return Edge(int(g.src[k]), int(g.dst[k]), float(g.value[k]), g.labels[g.label[k]])
-
-    def __iter__(self):
-        g = self._g
-        names = [g.labels[i] for i in g.label.tolist()]
-        return map(Edge, g.src.tolist(), g.dst.tolist(), g.value.tolist(), names)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 # ── block expansion ──────────────────────────────────────────────────────────
@@ -228,11 +196,10 @@ def _expand(cm, X: np.ndarray) -> tuple:
 
     src, label, value, succ = [], [], [], []
     for a, rows, weight in moves:
-        live = [(ci, p) for ci, p in enumerate(a.case_probs) if p != 0.0]
-        if not rows.size or not live:
+        if not rows.size or not a.live:
             continue
         fired = _apply(a.input_effects, X[rows])
-        for ci, p in live:
+        for ci, p in a.live:
             src.append(rows)
             label.append(np.full(rows.size, a.label + ci, dtype=np.int64))
             value.append(weight * p)
@@ -301,9 +268,7 @@ def explore(model: SanModel, max_states: int = DEFAULT_MAX_STATES) -> StateGraph
             is_tangible, moves = cm.moves(vec)
             tangible.append(is_tangible)
             for a, weight in moves:
-                for ci, p in enumerate(a.case_probs):
-                    if p == 0.0:
-                        continue
+                for ci, p in a.live:
                     src.append(i)
                     dst.append(intern(cm.fire_vec(vec, a, ci)))
                     value.append(weight * p)

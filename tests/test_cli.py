@@ -406,6 +406,17 @@ def test_paper_csv_to_stdout(capsys):
     assert len(out.strip().splitlines()) == 9
 
 
+def test_paper_writes_a_large_whole_alpha_as_the_san_writer_does(capsys):
+    # alpha columns and config names print as expr.format_number does
+    code, out, _ = run(capsys, "paper", "fig8", "--set", "alpha_O=1e20", "--out", "-")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["alpha_H"], r["alpha_O"]) for r in rows[:2]] == [("0.01", "1e+20"),
+                                                                ("0.1", "1e+20")]
+    assert [r["config"] for r in rows[5:7]] == ["alpha_O=0.01,targets=both",
+                                                "alpha_O=0.1,targets=both"]
+
+
 def test_paper_rejects_zero_rate_exits_64(capsys):
     code, _, err = run(capsys, "paper", "table3", "--set", "lambda_SW=0")
     assert code == 64

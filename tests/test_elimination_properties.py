@@ -1,8 +1,14 @@
 """Vanishing-marking elimination against a dense oracle on random graphs.
 
 The oracle is the textbook reduction ``R_TT + R_TV (I - P_VV)^-1 P_VT``
-solved with ``numpy.linalg.solve``.
+solved with ``numpy.linalg.solve``.  A second oracle censors the vanishing
+states one at a time in rationals, exactly for the float weights given;
+since censoring only adds, multiplies and divides nonnegative numbers, every
+entry of the reduced graph must lie within 4·n·eps of it, relative, and an
+exact zero must stay zero.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,3 +78,32 @@ def test_elimination_matches_dense_oracle(g):
     floor = 1e-15 * W[T].sum(axis=1, keepdims=True)
     assert np.all((np.abs(got - expected) <= 1e-12 * expected + floor)[off])
     np.testing.assert_allclose(got.sum(axis=1), W[T].sum(axis=1), rtol=1e-12, atol=0)
+
+
+def exact_censored(g) -> list:
+    """``_dense(g)`` in rationals with the vanishing states censored away one
+    at a time, their self loops renormalized away: the tangible rows and
+    columns, exact for the float weights given."""
+    n = g.n_states
+    W = [[Fraction(0)] * n for _ in range(n)]
+    for e in g.edges:
+        W[e.src][e.dst] += Fraction(e.value)
+    left = list(range(n))
+    for v in [i for i in range(n) if not g.tangible[i]]:
+        left.remove(v)
+        out = sum(W[v][j] for j in left)
+        for i in left:
+            if W[i][v]:
+                for j in left:
+                    W[i][j] += W[i][v] * W[v][j] / out
+    return [[W[i][j] for j in left] for i in left]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(graphs())
+def test_elimination_is_accurate_in_every_entry(g):
+    got = _dense(eliminate_vanishing(g)).tolist()
+    bound = 4 * g.n_states * Fraction(np.finfo(float).eps)
+    for got_row, exact_row in zip(got, exact_censored(g), strict=True):
+        for value, exact in zip(got_row, exact_row, strict=True):
+            assert abs(Fraction(value) - exact) <= bound * exact, (value, float(exact))

@@ -139,6 +139,26 @@ def test_validate_reports_a_constant_rate_that_fails_to_fold():
     assert validate(_with_fail(two_state_model(), rate=P("2 * 3"))) == []
 
 
+def test_validate_keeps_each_case_check_in_case_order():
+    # a case's range check follows its folding and precedes its effects'
+    # checks; the sum comes after every case
+    m = _with_fail(two_state_model(), cases=(
+        CaseSpec(P("1 / 0"), (put("Ghost"),)), CaseSpec(1.5, (put("Nowhere"),)),
+        CaseSpec(-0.75, (put("Up"),))))
+    assert validate(m) == [
+        "activity 'fail' case 0: division by zero in 1 / 0",
+        "activity 'fail' case 0: effect targets undeclared place 'Ghost'",
+        "activity 'fail' case 1: probability 1.5 outside [0, 1]",
+        "activity 'fail' case 1: effect targets undeclared place 'Nowhere'",
+        "activity 'fail' case 2: probability -0.75 outside [0, 1]"]
+    m = _with_fail(two_state_model(), cases=(
+        CaseSpec(1.25, (put("Ghost"),)), CaseSpec(0.5, ())))
+    assert validate(m) == [
+        "activity 'fail' case 0: probability 1.25 outside [0, 1]",
+        "activity 'fail' case 0: effect targets undeclared place 'Ghost'",
+        "activity 'fail': case probabilities sum to 1.75"]
+
+
 def _slot(slot, value):
     m = two_state_model()
     fail = m.activities[0]

@@ -16,6 +16,13 @@ one at a time, with stages down to one state and stacks that flush often.
 The cluster ladder's rungs must solve bit for bit as with the dense kernel
 on one matrix at a time.
 
+GTH must be accurate in every component, not only in U (O'Cinneide 1993).
+On random irreducible chains of 2-8 states with rates from 1e-6 to 1e3,
+each component of pi must lie within 4·n·eps, relative, of the exact pi of
+the same float rates, found by GTH in rationals: alone, stacked with chains
+of its size in ``steady_state_gth_many``, and through the sparse stages
+down to one state.
+
 Gauss-Seidel's level-scheduled forward substitution must give bit for bit
 what ``spsolve_triangular`` gives on random unit lower triangles: up to 400
 rows, some of them empty, some stored zeros, magnitudes within a decade of
@@ -25,6 +32,7 @@ its cap.
 """
 
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,7 +50,7 @@ from edgeavail.errors import EdgeavailError  # noqa: E402
 from edgeavail.expr import parse_expression as P  # noqa: E402
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,  # noqa: E402
                            RewardPredicate, SanModel, put, take)
-from edgeavail.statespace import eliminate_vanishing, explore, to_ctmc  # noqa: E402
+from edgeavail.statespace import Ctmc, eliminate_vanishing, explore, to_ctmc  # noqa: E402
 
 from test_solver import gth_dense_one, per_chain  # noqa: E402
 
@@ -168,6 +176,69 @@ def test_ladder_rungs_solve_as_the_one_matrix_kernel(table, M, K):
     for got, expected in zip(batched, reference, strict=True):
         assert np.array_equal(got.distribution, expected.distribution)
         assert got.residual == expected.residual
+
+
+EPS = Fraction(np.finfo(float).eps)
+
+
+@st.composite
+def rate_stacks(draw):
+    """1-3 rate matrices of one size, 2-8 states: a ring in random order
+    (so each chain is irreducible) and up to n² extra rates, ``10^U(-6, 3)``."""
+    n = draw(st.integers(2, 8))
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        R = np.zeros((n, n))
+        ring = draw(st.permutations(range(n)))
+        pairs = [(ring[k], ring[(k + 1) % n]) for k in range(n)]
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda ij: ij[0] != ij[1]), max_size=n * n))
+        for i, j in pairs:
+            R[i, j] = 10.0 ** draw(st.floats(-6.0, 3.0))
+        stack.append(R)
+    return stack
+
+
+def _ctmc(R) -> Ctmc:
+    n = len(R)
+    Q = sp.csr_matrix(R - np.diag(R.sum(axis=1)))
+    return Ctmc([(i,) for i in range(n)], ("S",), Q, np.zeros(n), "up")
+
+
+def exact_gth(R) -> list:
+    """The stationary distribution of the off-diagonal rates ``R``, by GTH in
+    rationals: exact for the float values as given."""
+    n = len(R)
+    a = [[Fraction(v) for v in row] for row in R.tolist()]
+    for k in range(n - 1, 0, -1):
+        s = sum(a[k][:k])
+        for i in range(k):
+            a[i][k] /= s
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    a[i][j] += a[i][k] * a[k][j]
+    x = [Fraction(1)]
+    for k in range(1, n):
+        x.append(sum(x[i] * a[i][k] for i in range(k)))
+    return [v / sum(x) for v in x]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(rate_stacks())
+def test_gth_is_accurate_in_every_component(stack):
+    chains = [_ctmc(R) for R in stack]
+    alone = [solver.steady_state_gth(c) for c in chains]
+    stacked = [state for _, state in solver.steady_state_gth_many(chains)]
+    with mock.patch.object(solver, "_DENSE_BLOCK", 1), \
+            mock.patch.object(solver, "_MIN_STAGE_SHARE", 0.0):
+        staged = [solver.steady_state_gth(c) for c in chains]
+    bound = 4 * len(stack[0]) * EPS
+    for R, *states in zip(stack, alone, stacked, staged):
+        exact = exact_gth(R)
+        for state in states:
+            for got, pi in zip(state.distribution.tolist(), exact, strict=True):
+                assert abs(Fraction(got) - pi) <= bound * pi, (got, float(pi))
 
 
 @st.composite

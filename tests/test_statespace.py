@@ -1,5 +1,6 @@
 """Reachability, vanishing-marking elimination, and generator assembly."""
 
+import dataclasses
 import hashlib
 from collections import deque
 
@@ -10,11 +11,11 @@ from edgeavail import models as md
 from edgeavail import statespace
 from edgeavail.document import parse_model
 from edgeavail.errors import (DivisionByZero, EvaluationError, NegativeTokens,
-                              NotIrreducible, StateSpaceExceeded,
+                              NotIrreducible, SemanticError, StateSpaceExceeded,
                               UnknownReward, VanishingLoop)
 from edgeavail.expr import parse_expression as P
 from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
-                           RewardPredicate, SanModel, put, set_to, take)
+                           RewardPredicate, SanModel, put, set_to, take, validate)
 from edgeavail.simulator import simulate
 from edgeavail.solver import steady_state_gth, unavailability
 from edgeavail.statespace import eliminate_vanishing, explore, revalue, to_ctmc
@@ -199,6 +200,29 @@ def test_vanishing_chain_and_self_loop():
     assert unavailability(chain, steady_state_gth(chain)) == pytest.approx(7 / 12, rel=1e-12)
     est = simulate(m, "up", horizon=1e5, seed=1)
     assert abs(est.point - 5 / 12) <= est.ci_halfwidth
+
+
+@pytest.mark.parametrize("probs, message", [
+    ((1.5, -0.5), "activity 'fail' case 0: probability 1.5 outside [0, 1]; "
+                  "activity 'fail' case 1: probability -0.5 outside [0, 1]"),
+    ((0.5, 0.3), "activity 'fail': case probabilities sum to 0.8"),
+])
+def test_case_probabilities_the_token_game_cannot_use_raise(two_state, probs, message):
+    # an edge of rate -0.05 or a lost 0.2 of fail's rate would give GTH and
+    # the simulator wrong or disagreeing answers, so compiling refuses them
+    fail = two_state.activities[0]
+    bad = dataclasses.replace(two_state, activities=(dataclasses.replace(
+        fail, cases=tuple(CaseSpec(p, fail.cases[0].effects) for p in probs)),
+        *two_state.activities[1:]))
+    assert "; ".join(validate(bad)) == message
+    good = explore(two_state)
+    for run in (lambda: explore(bad),
+                lambda: steady_state_gth(to_ctmc(dataclasses.replace(good, model=bad), "up")),
+                lambda: revalue(good, bad),
+                lambda: simulate(bad, "up", horizon=2e5, seed=1)):
+        with pytest.raises(SemanticError) as err:
+            run()
+        assert str(err.value) == message
 
 
 def test_elimination_without_vanishing_is_identity(two_state):

@@ -53,3 +53,5 @@ def test_fig6_explores_each_structure_once(monkeypatch):
     assert edgeavail.element_unavailability.cache_info().misses == 9
     assert tracer.self_times()["statespace.explore"][1] == 5
     assert metrics["statespace.states"] == 988      # 946 cluster markings, 42 others
+    assert metrics["statespace.edges"] == 4864      # len(g.edges), as the tracer counts
+    assert metrics["statespace.vanishing"] == 5
