@@ -196,9 +196,14 @@ def _cmd_simulate(args) -> int:
             raise UsageError(f"EDGEAVAIL_SEED must be >= 0, got {seed!r}")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    model = _load_model(args.path, _parse_overrides(args.set))
+    if not math.isfinite(args.horizon):
+        raise UsageError(f"--horizon must be finite, got {args.horizon}")
     if args.warmup is None:
         args.warmup = WARMUP_SHARE * args.horizon
+    if not args.horizon > args.warmup >= 0:
+        raise UsageError(f"need --horizon > --warmup >= 0, got {args.horizon} "
+                         f"and {args.warmup}")
+    model = _load_model(args.path, _parse_overrides(args.set))
     est = simulate(model, args.reward, args.horizon, args.warmup,
                    args.batches, args.seed)
     _emit({

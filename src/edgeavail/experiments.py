@@ -114,9 +114,6 @@ class _SystemConfig:
     cfg: RedundancyConfig
     t_5gc: IntensityTable
     t_mano: IntensityTable
-    # reported in the CSV alpha columns (the swept table's, which the 5gc
-    # table is not when only mano is swept); None means "take the 5gc table's"
-    alphas: tuple | None = None
 
 
 def _evaluate(configs, t: IntensityTable) -> list:
@@ -131,11 +128,11 @@ def _evaluate(configs, t: IntensityTable) -> list:
     for c in configs:
         ran = u_ran(base["ru"], base["du"], base["cu"], c.cfg)
         u = u_sys(ran, solved[c.t_5gc], solved[c.t_mano], base["meh"], c.cfg.N_H)
-        ah, ao, a_s = c.alphas if c.alphas is not None else (
-            c.t_5gc.alpha_H, c.t_5gc.alpha_O, c.t_5gc.alpha_S)
+        swept = c.t_mano if c.t_mano != t else c.t_5gc   # the CSV reports its alphas
         rows.append(SweepRow(
             c.name, c.cfg.N_C, c.cfg.N_D, c.cfg.N_R, c.cfg.N_H,
-            c.t_5gc.M, c.t_5gc.K, c.t_mano.M, c.t_mano.K, ah, ao, a_s, u))
+            c.t_5gc.M, c.t_5gc.K, c.t_mano.M, c.t_mano.K,
+            swept.alpha_H, swept.alpha_O, swept.alpha_S, u))
     return rows
 
 
@@ -224,8 +221,7 @@ def run_alpha_sweep(t: IntensityTable, targets: str = "both", values=None,
             t5 = ta if targets in ("both", "5gc") else t
             tm = ta if targets in ("both", "mano") else t
             configs.append(_SystemConfig(
-                f"{alpha_name}={ex.format_number(float(v))},targets={targets}", cfg, t5, tm,
-                alphas=(ta.alpha_H, ta.alpha_O, ta.alpha_S)))
+                f"{alpha_name}={ex.format_number(float(v))},targets={targets}", cfg, t5, tm))
     return _result(_evaluate(configs, t), t)
 
 

@@ -141,23 +141,11 @@ PROB_SUM_TOL = 1e-12
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")   # an IDENT token, as ``expr`` reads one
 
 
-def _probability_problems(where: str, probs) -> list:
-    """What keeps one activity's folded case probabilities from being a
-    distribution the token game can draw from, as ``(case, message)`` pairs
-    in case order: each must lie in [0, 1], and together they must sum to 1
-    within ``PROB_SUM_TOL``, reported under case ``len(probs)``.  None marks
-    a case that did not fold, and then the sum is not checked."""
-    problems = [(i, f"{where} case {i}: probability {p} outside [0, 1]")
-                for i, p in enumerate(probs) if p is not None and not 0.0 <= p <= 1.0]
-    if probs and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-        problems.append((len(probs), f"{where}: case probabilities sum to {sum(probs)!r}"))
-    return problems
-
-
 def validate(model: SanModel) -> list[str]:
     """Return every violation found; an empty list means the model is well-formed.
 
-    The one judge of a model, parsed, overridden or built in code.  Names are
+    The one judge of a model, parsed, overridden or built in code, and the
+    gate of every engine: ``CompiledModel`` refuses what it reports.  Names are
     identifiers; parameter, place and activity names share one namespace,
     unique and free of keywords, and reward names are unique.  Containers
     are of their declared types, else the rules that read inside are skipped
@@ -165,8 +153,10 @@ def validate(model: SanModel) -> list[str]:
     predicates, effect values and rewards are expressions.  Values, counts,
     probabilities and rates that read nothing are checked as they fold; one
     that fails to fold is reported once, and the values derived from it are
-    not checked.  No description line has blanks around it, which the
-    document format would drop.
+    not checked.  Each case probability lies in [0, 1], checked as it folds,
+    and an activity's sum to 1 within ``PROB_SUM_TOL``, checked after its
+    cases.  No description line has blanks around it, which the document
+    format would drop.
     """
     if not isinstance(model.description, str):
         diags = [f"description is not a string: {model.description!r}"]
@@ -290,7 +280,7 @@ def validate(model: SanModel) -> list[str]:
             continue
         if not a.cases:
             diags.append(f"{where}: no cases")
-        probs, ends = [], []   # ends[i]: len(diags) once case i has folded
+        probs = []
         for i, c in enumerate(a.cases):
             if isinstance(c.probability, (numbers.Real, ex.Expr)):
                 prob = folded(fold, c.probability, f"{where} case {i}", earlier)
@@ -298,12 +288,12 @@ def validate(model: SanModel) -> list[str]:
                 diags.append(f"{where} case {i}: probability is not a number: "
                              f"{c.probability!r}")
                 prob = None
+            if prob is not None and not 0.0 <= prob <= 1.0:
+                diags.append(f"{where} case {i}: probability {prob} outside [0, 1]")
             probs.append(prob)
-            ends.append(len(diags))
             check_effects(c.effects, f"{where} case {i}")
-        ends.append(len(diags))
-        for i, message in reversed(_probability_problems(where, probs)):
-            diags.insert(ends[i], message)
+        if probs and None not in probs and abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+            diags.append(f"{where}: case probabilities sum to {sum(probs)!r}")
 
     for r in model.rewards:
         check_expr(r.predicate, f"reward '{r.name}'")
@@ -346,11 +336,15 @@ class CompiledModel:
     ``"activity/case"`` in declaration order.  ``structure`` is what the
     marking graph depends on: the initial marking, the activities less their
     rates and the size of each live probability, and the values gates read.
-    Case probabilities outside [0, 1], or not summing to 1, raise
-    ``SemanticError`` with ``validate``'s message.
+    A model ``validate`` refuses raises ``SemanticError`` with its findings
+    joined by ``"; "``, so the engines see only well-formed models: initial
+    counts whole and nonnegative, case probabilities a distribution.
     """
 
     def __init__(self, model: SanModel):
+        diags = validate(model)
+        if diags:
+            raise SemanticError("; ".join(diags))
         self.model = model
         self.place_order = tuple(sorted(p.name for p in model.places))
         self.index = {name: i for i, name in enumerate(self.place_order)}
@@ -372,9 +366,6 @@ class CompiledModel:
         self.activities, labels = [], []
         for a in model.activities:
             probs = tuple(fold(c.probability, params) for c in a.cases)
-            problems = _probability_problems(f"activity '{a.name}'", probs)
-            if problems:
-                raise SemanticError("; ".join(message for _, message in problems))
             pred, pred_cols = lower(a.input.predicate)
             rate, rate_cols = lower(a.rate, set()) if a.timed else (None, ())
             self.activities.append(CompiledActivity(

@@ -127,11 +127,10 @@ class _Replay(Exception):
 
 
 def _widths(A: np.ndarray) -> list:
-    """Bits needed per column of the nonnegative integer rows ``A``."""
+    """Bits needed per column of the marking rows ``A``, kept nonnegative by
+    ``compiled``'s gate on initial counts and both steps' check on results."""
     if not len(A):
         return [0] * A.shape[1]
-    if A.min() < 0:
-        raise _Replay
     return [int(v).bit_length() for v in A.max(axis=0).tolist()]
 
 

@@ -208,12 +208,18 @@ def test_simulate_too_many_batches_exits_64(capsys):
     assert "--batches must be in [2, 100000]" in err
 
 
-def test_simulate_infinite_horizon_exits_1(capsys):
-    with deadline(10):
-        code, out, err = run(capsys, "simulate", str(MODELS / "du.san"), "--reward",
-                             "up", "--horizon", "inf", "--warmup", "0")
-    assert code == 1 and not out
-    assert err.strip().splitlines() == ["error: need a finite horizon, got inf"]
+@pytest.mark.parametrize("args, message", [
+    (("--horizon", "inf", "--warmup", "0"), "--horizon must be finite, got inf"),
+    (("--horizon", "nan"), "--horizon must be finite, got nan"),
+    (("--horizon", "-5"), "need --horizon > --warmup >= 0, got -5.0 and -0.05"),
+    (("--warmup", "2e6"), "need --horizon > --warmup >= 0, got 1000000.0 and 2000000.0"),
+    (("--warmup", "-1"), "need --horizon > --warmup >= 0, got 1000000.0 and -1.0"),
+], ids=["inf", "nan", "negative", "warmup-past-horizon", "negative-warmup"])
+def test_simulate_bad_horizon_or_warmup_exits_64(capsys, args, message):
+    # judged before the model is read, like every other option: the path is missing
+    code, out, err = run(capsys, "simulate", "missing.san", "--reward", "up", *args)
+    assert code == 64 and not out
+    assert err.strip().splitlines() == [f"usage error: {message}"]
 
 
 def test_simulate_du_prints_the_library_estimate(capsys):

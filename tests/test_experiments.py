@@ -118,7 +118,7 @@ def test_alpha_sweep_single_target(table):
     assert (result.rows[0].unavailability > both.rows[0].unavailability)
 
 
-@pytest.mark.parametrize("targets", ["both", "mano"])
+@pytest.mark.parametrize("targets", ["both", "5gc", "mano"])
 def test_alpha_sweep_reports_the_multipliers_it_holds(table, targets):
     # the multipliers a row does not sweep are the table's, not 1.0
     t = table.with_overrides(alpha_O=2.0, alpha_S=3.0)

@@ -14,7 +14,7 @@ from edgeavail.errors import (DivisionByZero, EvaluationError, NegativeTokens,
                               NotIrreducible, SemanticError, StateSpaceExceeded,
                               UnknownReward, VanishingLoop)
 from edgeavail.expr import parse_expression as P
-from edgeavail.san import (Activity, CaseSpec, InputSpec, Place,
+from edgeavail.san import (Activity, CaseSpec, Effect, InputSpec, Place,
                            RewardPredicate, SanModel, put, set_to, take, validate)
 from edgeavail.simulator import simulate
 from edgeavail.solver import steady_state_gth, unavailability
@@ -202,18 +202,64 @@ def test_vanishing_chain_and_self_loop():
     assert abs(est.point - 5 / 12) <= est.ci_halfwidth
 
 
-@pytest.mark.parametrize("probs, message", [
-    ((1.5, -0.5), "activity 'fail' case 0: probability 1.5 outside [0, 1]; "
-                  "activity 'fail' case 1: probability -0.5 outside [0, 1]"),
-    ((0.5, 0.3), "activity 'fail': case probabilities sum to 0.8"),
-])
-def test_case_probabilities_the_token_game_cannot_use_raise(two_state, probs, message):
-    # an edge of rate -0.05 or a lost 0.2 of fail's rate would give GTH and
-    # the simulator wrong or disagreeing answers, so compiling refuses them
-    fail = two_state.activities[0]
-    bad = dataclasses.replace(two_state, activities=(dataclasses.replace(
-        fail, cases=tuple(CaseSpec(p, fail.cases[0].effects) for p in probs)),
-        *two_state.activities[1:]))
+def _fail_with(m, **changes):
+    """``m`` with its first activity ("fail") changed."""
+    return dataclasses.replace(m, activities=(
+        dataclasses.replace(m.activities[0], **changes), *m.activities[1:]))
+
+
+def _case_with(m, **changes):
+    """``m`` with the one case of its first activity changed."""
+    return _fail_with(m, cases=(dataclasses.replace(m.activities[0].cases[0], **changes),))
+
+
+def _probabilities(m, *probs):
+    return _fail_with(m, cases=tuple(CaseSpec(p, (put("Down"),)) for p in probs))
+
+
+# two-state models that validate refuses, each once answered or raised bare
+# by the engines, and validate's message
+_REFUSED = {
+    "probability-range": (lambda m: _probabilities(m, 1.5, -0.5),
+                          "activity 'fail' case 0: probability 1.5 outside [0, 1]; "
+                          "activity 'fail' case 1: probability -0.5 outside [0, 1]"),
+    "probability-sum": (lambda m: _probabilities(m, 0.5, 0.3),
+                        "activity 'fail': case probabilities sum to 0.8"),
+    "no-cases": (lambda m: _fail_with(m, cases=()), "activity 'fail': no cases"),
+    "negative-count": (lambda m: dataclasses.replace(m, places=(Place("Up", -1), Place("Down"))),
+                       "place 'Up' has negative initial tokens (-1)"),
+    "duplicate-place": (lambda m: dataclasses.replace(m, places=(*m.places, Place("Up"))),
+                        "duplicate place name 'Up'"),
+    "probability-text": (lambda m: _case_with(m, probability="abc"),
+                         "activity 'fail' case 0: probability is not a number: 'abc'"),
+    "probability-none": (lambda m: _case_with(m, probability=None),
+                         "activity 'fail' case 0: probability is not a number: None"),
+    "cases-none": (lambda m: _fail_with(m, cases=None),
+                   "activity 'fail': cases are not a tuple: None"),
+    "rate-number": (lambda m: _fail_with(m, rate=0.1),
+                    "activity 'fail' rate: not an expression: 0.1"),
+    "predicate-text": (lambda m: _fail_with(m, input=InputSpec("#Up >= 1", (take("Up"),))),
+                       "activity 'fail' predicate: not an expression: '#Up >= 1'"),
+    "undeclared-place": (lambda m: _case_with(m, effects=(put("Nowhere"),)),
+                         "activity 'fail' case 0: effect targets undeclared place 'Nowhere'"),
+    "bad-operator": (lambda m: _case_with(m, effects=(Effect("Down", "*=", P("2")),)),
+                     "activity 'fail' case 0: bad effect operator '*='"),
+    "parameter-text": (lambda m: dataclasses.replace(m, parameters={"lam": "x", "mu": 0.9}),
+                       "parameter 'lam' is not a finite number ('x')"),
+    "fractional-count": (lambda m: dataclasses.replace(
+                             m, places=(Place("Up", 1.5), Place("Down"))),
+                         "place 'Up' has non-integer initial tokens (1.5)"),
+    "parameter-nan": (lambda m: dataclasses.replace(
+                          m, parameters={"lam": float("nan"), "mu": 0.9}),
+                      "parameter 'lam' is not a finite number (nan)"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", _REFUSED.values(), ids=_REFUSED.keys())
+def test_every_engine_refuses_what_validate_refuses(two_state, mutate, message):
+    # compiling is the engines' gate: a model validate refuses never reaches
+    # the token game, where it would give an answer or a bare exception
+    bad = mutate(two_state)
     assert "; ".join(validate(bad)) == message
     good = explore(two_state)
     for run in (lambda: explore(bad),
@@ -553,22 +599,6 @@ def test_block_errors_replay_through_scalar_step(monkeypatch, model, error):
     assert messages[0] == messages[1]
 
 
-def _toggles(raised=False):
-    """Nine places flipped between 0 and 1 (levels 4 and 5 hold 126 markings
-    each) beside a place that holds -1, built in code as ``validate`` would
-    refuse it: never touched, or ``raised`` to 0 by one more activity, so
-    that a level mixes both counts."""
-    flips = tuple(
-        Activity(f"flip{i}", P("1"), InputSpec(P("1"), (set_to(f"T{i}", P(f"1 - #T{i}")),)),
-                 (CaseSpec(1.0, ()),))
-        for i in range(9))
-    raise_it = Activity("raise", P("1"), InputSpec(P("#Neg < 0"), (set_to("Neg", 0),)),
-                        (CaseSpec(1.0, ()),))
-    return SanModel(places=(*(Place(f"T{i}") for i in range(9)), Place("Neg", -1)),
-                    parameters={}, activities=flips + ((raise_it,) if raised else ()),
-                    rewards=(RewardPredicate("up", P("1")),))
-
-
 def _picked_then_filled():
     """One of 100 markings picked, then 64 places filled and all reset: the
     picked level's successors need 64 + 7 + 2 bits to key."""
@@ -588,12 +618,10 @@ def _picked_then_filled():
     )
 
 
-@pytest.mark.parametrize("build, n_states", [
-    (_toggles, 512), (lambda: _toggles(raised=True), 1024), (_picked_then_filled, 201),
-], ids=["negative", "negative-raised", "wide"])
+@pytest.mark.parametrize("build, n_states", [(_picked_then_filled, 201)], ids=["wide"])
 def test_block_keys_replay_what_they_cannot_pack(monkeypatch, build, n_states):
-    # the block path cannot key a negative count or more than 63 bits: it
-    # replays such a level with the scalar step
+    # the block path cannot key more than 63 bits: it replays such a level
+    # with the scalar step
     graphs = []
     for block_min in (1, 10**9):
         monkeypatch.setattr(statespace, "_BLOCK_MIN", block_min)
